@@ -259,7 +259,8 @@ def build_parser() -> _Parser:
         p.add_argument("--rounds", type=int, default=None, help="override rounds")
         p.add_argument("--out", default=None, help="override output path")
         p.add_argument(
-            "--workers", type=int, default=1, help="parallel round workers"
+            "--workers", type=int, default=1,
+            help="split rounds into N partitions, run in order (same output)",
         )
 
     p_cal = sub.add_parser("calibrate", help="fit channel parameters to PSR targets")

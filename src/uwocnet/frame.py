@@ -111,9 +111,19 @@ class SensorRecord:
             raise ValueError(f"node_id must be in [0, 254], got {self.node_id}")
 
 
+def fixed_point(temperature_c):
+    """(temp_C + 40) * 256 before rounding; elementwise on numpy arrays."""
+    return (temperature_c + 40.0) * 256.0
+
+
+def raw_in_range(raw):
+    """Whether temperature_to_raw accepts raw; elementwise on numpy arrays."""
+    return (raw >= 0) & (raw <= _RAW_MAX)
+
+
 def temperature_to_raw(temperature_c: float) -> int:
     """Quantize degC to the 16-bit fixed-point wire value."""
-    raw = round((temperature_c + 40.0) * 256.0)
+    raw = round(fixed_point(temperature_c))
     if not 0 <= raw <= _RAW_MAX:
         raise RecordOutOfRange(
             f"temperature {temperature_c} degC outside [-40, 85] fixed-point range"
@@ -172,6 +182,20 @@ class KeyRegistry:
         if len(node_ids) > len(DEFAULT_KEY_TABLE):
             raise ValueError("default key table covers at most 5 nodes")
         return cls(dict(zip(node_ids, DEFAULT_KEY_TABLE)))
+
+
+def _escaped(b):
+    """1 where byte b needs escaping, else 0; elementwise on numpy arrays."""
+    return sum((b == e) * 1 for e in _ESCAPED)
+
+
+def record_length(node_id: int, raw):
+    """Encoded bytes of one in-range record, escapes included.
+
+    raw may be a numpy array of fixed-point values (one per record).
+    """
+    hi, lo = raw >> 8, raw & 0xFF
+    return _BYTES_PER_RECORD + _escaped(node_id) + _escaped(hi) + _escaped(lo)
 
 
 def escape_payload(raw: bytes | bytearray) -> bytes:
@@ -289,6 +313,7 @@ def append_hop(frame: Frame, key: int, record: SensorRecord) -> Frame:
 # Temperature whose fixed-point bytes (0x3C, 0x80) never need escaping;
 # used to define the deterministic "skeleton" frame length below.
 REFERENCE_TEMP_C = 20.5
+FRAME_OVERHEAD = 3  # header, sync and end bytes
 
 
 def nominal_frame_length(node_ids) -> int:
@@ -302,9 +327,9 @@ def nominal_frame_length(node_ids) -> int:
     """
     ids = tuple(node_ids)
     payload = sum(3 + (1 if i in _ESCAPED else 0) for i in ids)
-    return 3 + len(ids) + payload
+    return FRAME_OVERHEAD + len(ids) + payload
 
 
 def worst_case_frame_length(record_count: int) -> int:
     """Upper bound on encoded length: every payload byte escaped."""
-    return 3 + record_count + 2 * _BYTES_PER_RECORD * record_count
+    return FRAME_OVERHEAD + record_count + 2 * _BYTES_PER_RECORD * record_count

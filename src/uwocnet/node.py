@@ -21,8 +21,10 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import frame as fr
-from .rng import Substream
+from .rng import Substream, derive_states, uniform_at
 
 _SENSOR_STREAM_TAG = 0x5E_45_0001
 
@@ -99,6 +101,46 @@ def sample_sensor(node_id: int, clock: float, profile: SensorProfile) -> SensorR
         stream = Substream(profile.seed, _SENSOR_STREAM_TAG, node_id, clock_bits)
         temp += profile.noise_std_c * stream.gauss()
     return SensorReading(node_id, temp, clock)
+
+
+# Distance from a .5 rounding tie inside which sensor_raw recomputes a
+# reading with sample_sensor: numpy's sin/log/cos may differ from libm's by
+# an ulp, which moves (temp + 40) * 256 by far less than this.
+_TIE_MARGIN = 1e-6
+
+
+def sensor_raw(node_ids, clocks: np.ndarray, profile: SensorProfile) -> np.ndarray:
+    """Fixed-point values of sample_sensor(node_id, clock, profile) readings.
+
+    node_ids is an int or an integer array that broadcasts to the shape of
+    clocks, a float64 array.  The values equal round(fr.fixed_point(temperature)) of
+    the scalar readings exactly; they are not checked against the record
+    range, which is the encoder's job.
+    """
+    temp = profile.baseline_c + profile.amplitude_c * np.sin(
+        2.0 * math.pi * clocks / profile.period_s
+    )
+    redo = np.zeros(temp.shape, dtype=bool)
+    if profile.noise_std_c > 0.0:
+        states = derive_states(
+            profile.seed, _SENSOR_STREAM_TAG, np.asarray(node_ids), clocks.view(np.uint64)
+        )
+        u1 = uniform_at(states, 0)
+        u2 = uniform_at(states, 1)
+        redo = u1 <= 0.0  # gauss() redraws u1, shifting u2 by one word
+        gauss = np.sqrt(-2.0 * np.log(np.where(redo, 1.0, u1))) * np.cos(
+            2.0 * math.pi * u2
+        )
+        temp = temp + profile.noise_std_c * gauss
+    x = fr.fixed_point(temp)
+    raw = np.rint(x).astype(np.int64)
+    redo |= np.abs(x - np.floor(x) - 0.5) < _TIE_MARGIN
+    if redo.any():
+        ids = np.broadcast_to(node_ids, raw.shape)
+        for i in zip(*np.nonzero(redo)):
+            reading = sample_sensor(int(ids[i]), float(clocks[i]), profile)
+            raw[i] = round(fr.fixed_point(reading.temperature_c))
+    return raw
 
 
 # --- events ---------------------------------------------------------------

@@ -7,14 +7,19 @@ parallel partition of trials produce bit-identical results.
 
 The generator is the splitmix64 output function applied to a per-substream
 state plus a word counter (the scheme used by Java's SplittableRandom).
+derive_states and uniform_at compute the same words for whole numpy arrays
+of addresses, bit for bit, so a block of substreams can be drawn at once.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+BINOMIAL_CHUNK = 1024  # trials per uniform in Substream.binomial
 
 
 def _mix(z: int) -> int:
@@ -33,9 +38,54 @@ def derive_state(seed: int, *words: int) -> int:
     return s
 
 
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """_mix over a uint64 array; array arithmetic wraps modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_states(seed, *words) -> np.ndarray:
+    """derive_state over numpy arrays: the seed and any word may be an array.
+
+    Arrays broadcast against each other; a seed array holds states from an
+    earlier derive_states call, which this one extends by more words.
+    """
+    s = seed if isinstance(seed, np.ndarray) else seed & _MASK64
+    for w in words:
+        if isinstance(w, np.ndarray):
+            w = w.astype(np.uint64)
+        else:
+            w = np.uint64(w & _MASK64)
+        if isinstance(s, np.ndarray):
+            s = _mix_array((s + np.uint64(_GOLDEN)) ^ w)
+        elif isinstance(w, np.ndarray):
+            s = _mix_array(np.uint64((s + _GOLDEN) & _MASK64) ^ w)
+        else:
+            s = _mix((s + _GOLDEN) ^ int(w))
+    if not isinstance(s, np.ndarray):
+        raise ValueError("derive_states needs at least one array argument")
+    return s
+
+
+def uniform_at(states: np.ndarray, i: int) -> np.ndarray:
+    """Draw i (from 0) of Substream.uniform on each of the given states.
+
+    Equal to what the i-th uniform() call returns on a Substream built from
+    the same address, provided every earlier draw consumed one word.
+    """
+    word = _mix_array(states + np.uint64(((i + 1) * _GOLDEN) & _MASK64))
+    return (word >> np.uint64(11)).astype(np.float64) * 1.1102230246251565e-16
+
+
 def derive_seed(seed: int, *words: int) -> int:
     """Derive a child seed (non-negative, < 2**63) from an address."""
     return derive_state(seed, *words) >> 1
+
+
+def zero_draw_probability(n: int, p: float) -> float:
+    """P(Binomial(n, p) == 0) = (1-p)^n, without pow-loss."""
+    return math.exp(n * math.log1p(-p))
 
 
 class Substream:
@@ -76,7 +126,7 @@ class Substream:
         total = 0
         remaining = n
         while remaining > 0:
-            m = min(remaining, 1024)
+            m = min(remaining, BINOMIAL_CHUNK)
             total += self._binv(m, p)
             remaining -= m
         return total
@@ -84,7 +134,7 @@ class Substream:
     def _binv(self, n: int, p: float) -> int:
         u = self.uniform()
         q = 1.0 - p
-        pmf = math.exp(n * math.log1p(-p))  # (1-p)^n without pow-loss
+        pmf = zero_draw_probability(n, p)
         odds = p / q
         cdf = pmf
         k = 0

@@ -1,28 +1,51 @@
 """Deterministic Monte-Carlo simulation of the full relay line.
 
-Each round pushes one frame from the originator to the sink through the
-node state machines, sampling bit errors on every link from a counter-based
-substream keyed by (seed, round, hop).  Any bit flip - framing bits
-included - kills the packet for packet-success accounting and terminates
-the round's propagation, matching a no-FEC receiver where ground truth is
-known.  Rounds are mutually independent, so they may be partitioned across
-worker processes; counts aggregate order-independently and results are
-bit-identical for every execution plan.
+Each round pushes one frame from the originator to the sink, sampling bit
+errors on every link from a counter-based substream keyed by (seed, round,
+hop).  Any bit flip - framing bits included - kills the packet for
+packet-success accounting and terminates the round's propagation, matching
+a no-FEC receiver where ground truth is known.
+
+Two engines give the same counts.  The reference engine steps every node's
+state machine through every round; it runs whenever the monitor log is
+collected, since only it decodes what the sink delivers.  The counting
+engine, used otherwise, computes a block of rounds at once in numpy: each
+transmitter's sensor reading, hence each hop's frame length, and each hop's
+zero-flip test, one link substream word per 1024-bit chunk.  It draws the
+same words as the reference engine, so its counts are exact, not
+statistical.  As a canary on every call it also replays its first round
+through the reference engine and raises RuntimeError if the two disagree.
+
+Rounds are mutually independent: workers=N splits them into N partitions,
+run one after another in this process, and the counts are bit-identical
+for every partition.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import frame as fr
 from . import node as nd
 from .channel import ChannelParams, LinkSpec, attenuate, ook_ber
-from .rng import Substream, derive_seed
+from .rng import (
+    BINOMIAL_CHUNK,
+    Substream,
+    derive_seed,
+    derive_states,
+    uniform_at,
+    zero_draw_probability,
+)
 
 _LINK_STREAM_TAG = 0xC4A7_0001
 _SCENARIO_TAG = 0x5CEA_0001
+# (round, hop) cells per counting-engine block: bounds its memory at any
+# round count and line length.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,6 +74,8 @@ class Topology:
             raise ValueError("interior nodes must be relays")
         ids = [n.node_id for n in self.nodes]
         keys = [n.auth_key for n in self.nodes]
+        if not all(0 <= i <= 254 for i in ids):
+            raise ValueError("node ids must be in [0, 254]")
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be distinct")
         if len(set(keys)) != len(keys):
@@ -252,6 +277,106 @@ def _simulate_rounds(
     return attempted, delivered, frame_bytes_sum, monitor
 
 
+def _block_outcomes(
+    topology: Topology,
+    bers: list[float],
+    seed: int,
+    first_round: int,
+    last_round: int,
+    slot_duration: float,
+    profile: nd.SensorProfile,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What _simulate_rounds meets on each hop of rounds [first_round, last_round).
+
+    Returns (attempted, delivered, frame bytes, out-of-range record encoded),
+    each an array of shape (rounds, hops).
+    """
+    hops = topology.hop_count
+    rnd = np.arange(first_round, last_round, dtype=np.int64)
+    t0 = rnd * (hops * slot_duration)
+    # Transmitter j's record: the originator reads at its tx slot start, a
+    # relay at the end of its rx slot, each time summed as the state machine
+    # sums it.
+    clocks = np.empty((len(rnd), hops))
+    clocks[:, 0] = t0 + 0 * slot_duration
+    for j in range(1, hops):
+        clocks[:, j] = (t0 + (j - 1) * slot_duration) + slot_duration
+    ids = np.array(topology.node_ids[:-1])
+    raw = nd.sensor_raw(ids, clocks, profile)
+    records = np.column_stack(
+        [fr.record_length(int(i), raw[:, j]) for j, i in enumerate(ids)]
+    )
+    nbytes = fr.FRAME_OVERHEAD + np.arange(1, hops + 1) + np.cumsum(records, axis=1)
+
+    # A hop delivers when Substream.binomial draws zero flips: one uniform
+    # per chunk of at most BINOMIAL_CHUNK bits, none above its chunk's
+    # threshold.  Thresholds are scalar math, once per distinct chunk size.
+    rounds_states = derive_states(seed, _LINK_STREAM_TAG, rnd)
+    states = derive_states(rounds_states[:, None], np.arange(hops))
+    nbits = 10 * nbytes
+    ok = np.ones(nbits.shape, dtype=bool)
+    for c in range(-(-int(nbits.max()) // BINOMIAL_CHUNK)):
+        m = np.clip(nbits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK)
+        keys, inverse = np.unique(m * hops + np.arange(hops), return_inverse=True)
+        threshold = np.array(
+            [_zero_flip_threshold(int(k) // hops, bers[int(k) % hops]) for k in keys]
+        )
+        ok &= ~(uniform_at(states, c) > threshold[inverse.reshape(m.shape)])
+    live = np.ones(ok.shape, dtype=bool)
+    live[:, 1:] = np.logical_and.accumulate(ok[:, :-1], axis=1)
+    return live, live & ok, nbytes, live & ~fr.raw_in_range(raw)
+
+
+def _zero_flip_threshold(bits: int, ber: float) -> float:
+    """The uniform at or below which a chunk of `bits` trials has no flip,
+    as Substream.binomial decides it."""
+    if bits == 0 or ber <= 0.0:
+        return math.inf  # no chunk, or binomial returns 0 without a draw
+    if ber >= 1.0:
+        return -math.inf
+    return zero_draw_probability(bits, ber)
+
+
+def _count_rounds(
+    topology: Topology,
+    params: ChannelParams,
+    seed: int,
+    first_round: int,
+    last_round: int,
+    slot_duration: float,
+    profile: nd.SensorProfile,
+) -> tuple[list[int], list[int], list[int], list[MonitorRow]]:
+    """The counters of _simulate_rounds, computed in blocks of rounds."""
+    canary = list(_simulate_rounds(
+        topology, params, seed, first_round, first_round + 1, slot_duration,
+        profile, False,
+    )[:3])
+    bers = [ook_ber(attenuate(params, link), params) for link in topology.links]
+    totals = np.zeros((3, topology.hop_count), dtype=np.int64)
+    block = max(1, _BLOCK_CELLS // topology.hop_count)
+    for lo in range(first_round, last_round, block):
+        hi = min(lo + block, last_round)
+        live, delivered, nbytes, bad = _block_outcomes(
+            topology, bers, seed, lo, hi, slot_duration, profile
+        )
+        if bad.any():
+            # The reference engine raises RecordOutOfRange on this round.
+            rnd = lo + int(np.nonzero(bad.any(axis=1))[0][0])
+            _simulate_rounds(
+                topology, params, seed, rnd, rnd + 1, slot_duration, profile, False
+            )
+            raise RuntimeError(f"round {rnd}: counting engine saw an out-of-range record")
+        counts = np.stack([live, delivered, live * nbytes])
+        if lo == first_round and counts[:, 0].tolist() != canary:
+            raise RuntimeError(
+                f"counting engine gives {counts[:, 0].tolist()} for round {lo}, "
+                f"reference engine {canary}"
+            )
+        totals += counts.sum(axis=1)
+    attempted, delivered_n, frame_bytes_sum = totals.tolist()
+    return attempted, delivered_n, frame_bytes_sum, []
+
+
 def run_scenario(
     topology: Topology,
     params: ChannelParams,
@@ -267,9 +392,12 @@ def run_scenario(
     """Simulate `rounds` end-to-end relay rounds; deterministic in seed.
 
     slot_duration defaults to the smallest slot that fits the worst-case
-    frame at bit_rate.  workers > 1 partitions rounds over processes; the
-    per-(round, hop) substreams make any partition bit-identical to the
-    serial run.
+    frame at bit_rate.  With collect_monitor the reference engine steps the
+    node state machines and logs every delivered round; otherwise the
+    counting engine computes the same counts (see the module docstring).
+    workers > 1 splits the rounds into that many partitions, run in order;
+    the per-(round, hop) substreams make every partition bit-identical to
+    one.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -281,48 +409,28 @@ def run_scenario(
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
 
     hops = topology.hop_count
-    chunk_args = []
-    if workers > 1:
-        bounds = [rounds * i // workers for i in range(workers + 1)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo < hi:
-                chunk_args.append((lo, hi))
-    else:
-        chunk_args.append((0, rounds))
-
+    parts = max(1, workers)
+    bounds = [rounds * i // parts for i in range(parts + 1)]
     attempted = [0] * hops
     delivered = [0] * hops
     frame_sum = [0] * hops
     monitor: list[MonitorRow] = []
-
-    def merge(result) -> None:
-        a, d, f, m = result
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        if collect_monitor:
+            a, d, f, m = _simulate_rounds(
+                topology, params, seed, lo, hi, slot_duration, profile, True
+            )
+        else:
+            a, d, f, m = _count_rounds(
+                topology, params, seed, lo, hi, slot_duration, profile
+            )
         for h in range(hops):
             attempted[h] += a[h]
             delivered[h] += d[h]
             frame_sum[h] += f[h]
         monitor.extend(m)
-
-    if len(chunk_args) == 1:
-        merge(
-            _simulate_rounds(
-                topology, params, seed, 0, rounds, slot_duration, profile,
-                collect_monitor,
-            )
-        )
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _simulate_rounds,
-                    topology, params, seed, lo, hi, slot_duration, profile,
-                    collect_monitor,
-                )
-                for lo, hi in chunk_args
-            ]
-            for fut in futures:
-                merge(fut.result())
-    monitor.sort(key=lambda row: row.round_index)
 
     hop_stats = []
     for h in range(hops):

@@ -1,0 +1,304 @@
+"""Counting engine against the node state machines: exact count equality.
+
+run_scenario counts rounds with the vectorized engine unless the monitor
+log is collected, when the reference engine steps every node.  Both draw
+the same substream words, so every per-hop counter must agree exactly.
+"""
+
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwocnet import frame as fr
+from uwocnet import node as nd
+from uwocnet import sim
+from uwocnet.channel import ChannelParams, link_ber, q_inverse
+from uwocnet.config import parse_config
+from uwocnet.node import SensorProfile, min_slot_duration, sample_sensor, sensor_raw
+from uwocnet.rng import Substream, derive_states, uniform_at
+from uwocnet.sim import linear_topology, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+ACCEPTANCE_SEED = 20260808
+# The channel `uwocnet calibrate` fits to the paper anchors (0.95 at
+# 0.01 NTU, 0.89 at 70 NTU) on the default five-node 4 m line.
+ANCHOR = ChannelParams(
+    1000.0, 0.4992440636926728, 0.00020789755812048987, 100.0, 18.14199387800274
+)
+
+
+def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
+    """Channel whose 4 m link BER yields the requested per-hop PSR."""
+    ber = 1.0 - per_hop_psr ** (1.0 / (10.0 * frame_bytes))
+    c = math.log(1000.0 / (2.0 * q_inverse(ber))) / 4.0
+    return ChannelParams(1000.0, c, 0.0, noise_sigma=1.0)
+
+
+def engine_counts(topo, params, rounds, seed, profile=None, first=0):
+    """(attempted, delivered, frame_bytes_sum) from both engines."""
+    profile = profile if profile is not None else SensorProfile(seed=seed)
+    slot = min_slot_duration(len(topo.nodes))
+    args = (topo, params, seed, first, first + rounds, slot, profile)
+    counted = sim._count_rounds(*args)[:3]
+    stepped = sim._simulate_rounds(*args, False)[:3]
+    return counted, stepped
+
+
+def assert_engines_agree(topo, params, rounds, seed, profile=None):
+    counted, stepped = engine_counts(topo, params, rounds, seed, profile)
+    assert counted == stepped
+    return counted
+
+
+# --- differential tests ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("ntu", [0.01, 70.0])
+@pytest.mark.parametrize("root_seed", [ACCEPTANCE_SEED, 1, 42, 987654321])
+def test_anchor_line_counts_equal(ntu, root_seed):
+    topo = linear_topology(range(5), turbidity_ntu=ntu)
+    seed = sim.scenario_seed(root_seed, ntu)
+    attempted, delivered, _ = assert_engines_agree(
+        topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
+    )
+    assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
+
+
+def test_heterogeneous_config_counts_equal():
+    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
+    counted, stepped = engine_counts(
+        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
+    )
+    assert counted == stepped
+
+
+def test_single_hop_counts_equal():
+    topo = linear_topology(range(2))
+    attempted, delivered, _ = assert_engines_agree(
+        topo, lossy_params(0.8, frame_bytes=8), 2000, seed=4
+    )
+    assert 0 < delivered[0] < attempted[0]
+
+
+def test_escaped_node_ids_counts_equal():
+    # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    _, _, frame_bytes = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
+    nominal = fr.nominal_frame_length([0x7D])
+    assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.nominal_frame_length([1]) + 1)
+
+
+def test_long_line_multi_chunk_counts_equal():
+    # 30 nodes: frames on the last hops exceed 1024 on-wire bits, so the
+    # hop outcome takes a second uniform from the link substream.
+    ids = list(range(30))
+    topo = linear_topology(ids, auth_keys=range(1, 31))
+    assert 10 * fr.nominal_frame_length(ids[:-1]) > 1024
+    attempted, delivered, _ = assert_engines_agree(
+        topo, lossy_params(0.995), 400, seed=12
+    )
+    long_hops = [
+        h for h in range(topo.hop_count) if 10 * fr.nominal_frame_length(ids[: h + 1]) > 1024
+    ]
+    assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
+
+
+def test_ber_underflow_and_zero_signal_counts_equal():
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    topo = linear_topology(range(5))
+    assert link_ber(clean, topo.links[0]) == 0.0
+    attempted, delivered, _ = assert_engines_agree(topo, clean, 300, seed=2)
+    assert attempted == delivered == [300] * 4
+
+    dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
+    deep = linear_topology(range(5), link_distance_m=500.0)
+    assert link_ber(dark, deep.links[0]) == 0.5
+    attempted, delivered, _ = assert_engines_agree(deep, dark, 300, seed=2)
+    assert attempted == [300, 0, 0, 0] and delivered == [0] * 4
+
+
+def test_noiseless_sensor_counts_equal():
+    profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
+    topo = linear_topology(range(5))
+    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=3, profile=profile)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_partitions_counts_equal(workers):
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    kwargs = dict(profile=SensorProfile(seed=8), workers=workers)
+    counted = run_scenario(topo, ANCHOR, 1001, 8, **kwargs)
+    stepped = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, **kwargs)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=SensorProfile(seed=8))
+    assert counted.hops == stepped.hops == serial.hops
+    assert counted.monitor_rows is None
+
+
+def test_many_blocks_counts_equal(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    counted, stepped = engine_counts(topo, ANCHOR, 1001, 5)
+    assert counted == stepped
+
+
+def test_partition_from_a_late_round_counts_equal():
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    counted, stepped = engine_counts(topo, ANCHOR, 500, 3, first=10**9)
+    assert counted == stepped
+
+
+# --- layer parity ---------------------------------------------------------------
+
+
+def test_vector_substream_words_match_substream():
+    rounds = np.array([0, 1, 7, 2**40, 2**62 + 5], dtype=np.int64)
+    states = derive_states(derive_states(99, 0xC4A7_0001, rounds)[:, None], np.arange(3))
+    for c in range(3):
+        u = uniform_at(states, c)
+        for i, rnd in enumerate(rounds):
+            for h in range(3):
+                stream = Substream(99, 0xC4A7_0001, int(rnd), h)
+                draws = [stream.uniform() for _ in range(c + 1)]
+                assert u[i, h] == draws[-1]
+
+
+def test_record_length_matches_encoder():
+    # raw bytes 0x00, 0x7D and 0xFF are escaped, in either position
+    raws = np.array([0x0000, 0x007D, 0x00FF, 0x0101, 0x3C00, 0x3C7D, 0x3C80, 0x7D00])
+    for node_id in (0x00, 0x41, 0x7D):
+        lengths = fr.record_length(node_id, raws)
+        for raw, length in zip(raws, lengths):
+            record = fr.SensorRecord(node_id, fr.raw_to_temperature(int(raw)))
+            frame = fr.Frame((180,), (record,))
+            assert len(fr.encode_frame(frame)) == fr.FRAME_OVERHEAD + 1 + length
+
+
+def test_sensor_raw_matches_sample_sensor():
+    profile = SensorProfile(seed=5)
+    clocks = np.arange(4000) * 0.0396 + 0.01
+    raw = sensor_raw(np.array([3]), clocks[:, None], profile)[:, 0]
+    expected = [
+        round(fr.fixed_point(sample_sensor(3, float(t), profile).temperature_c))
+        for t in clocks
+    ]
+    assert raw.tolist() == expected
+
+
+def test_reading_exactly_on_half_rounds_to_even():
+    # 20.001953125 degC sits on 15360.5: round-half-even gives 0x3C00, whose
+    # low byte needs an escape, where 15361 would not.
+    assert fr.fixed_point(20.001953125) == 15360.5
+    assert fr.temperature_to_raw(20.001953125) == 0x3C00
+    profile = SensorProfile(baseline_c=20.001953125, amplitude_c=0.0, noise_std_c=0.0)
+    assert sensor_raw(0, np.zeros(3), profile).tolist() == [0x3C00] * 3
+    topo = linear_topology(range(5))
+    _, _, frame_bytes = assert_engines_agree(
+        topo, lossy_params(0.9), 200, seed=1, profile=profile
+    )
+    assert frame_bytes[0] == 200 * (fr.nominal_frame_length([0]) + 1)
+
+
+def test_readings_near_a_tie_are_recomputed_by_sample_sensor(monkeypatch):
+    # numpy's sin/log/cos may differ from libm by an ulp, which can only
+    # change a reading's rounding next to a tie; those go through the scalar.
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return sample_sensor(*args)
+
+    monkeypatch.setattr(nd, "sample_sensor", recording)
+    near = SensorProfile(baseline_c=20.001953125, amplitude_c=1e-9, noise_std_c=0.0)
+    clear = replace(near, baseline_c=20.0)
+    # a hair above 15360.5 at t = 1 s and 2 s, so both round up
+    assert sensor_raw(0, np.array([1.0, 2.0]), near).tolist() == [0x3C01] * 2
+    assert len(calls) == 2
+    sensor_raw(0, np.array([1.0, 2.0]), clear)
+    assert len(calls) == 2
+
+
+# --- RecordOutOfRange parity ------------------------------------------------------
+
+# Readings rise by `rate` degC per second from 84.99: with 1 s slots, the
+# node that reads at time t is out of range once 84.99 + rate * t > 85.00195.
+def _rising(rate: float) -> SensorProfile:
+    period = 1e6
+    return SensorProfile(
+        baseline_c=84.99, amplitude_c=rate * period / (2 * math.pi),
+        period_s=period, noise_std_c=0.0,
+    )
+
+
+def _run(topo, params, profile, monitor):
+    return run_scenario(
+        topo, params, 1, 0, slot_duration=1.0, profile=profile, collect_monitor=monitor
+    )
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_out_of_range_sink_reading_does_not_raise(monitor):
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    # the sink reads at t = 4 s, the last relay at 3 s
+    report = _run(linear_topology(range(5)), clean, _rising(0.0035), monitor)
+    assert report.hops[-1].packets_delivered == 1
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_out_of_range_reading_in_dead_round_does_not_raise(monitor):
+    dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
+    deep = linear_topology(range(5), link_distance_m=500.0)
+    report = _run(deep, dark, _rising(0.02), monitor)  # relay 1 reads at 1 s
+    assert report.hops[0].packets_delivered == 0
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_out_of_range_reading_on_attempted_hop_raises(monitor):
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    with pytest.raises(fr.RecordOutOfRange):
+        _run(linear_topology(range(5)), clean, _rising(0.02), monitor)
+
+
+def test_out_of_range_reading_in_a_later_round_raises_the_same_error():
+    # From 84.9 degC the first out-of-range record is relay 2's in round 7
+    # (t = 30 s), past the round the canary replays.
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    profile = replace(_rising(0.0035), baseline_c=84.9)
+    errors = []
+    for monitor in (False, True):
+        with pytest.raises(fr.RecordOutOfRange) as info:
+            run_scenario(linear_topology(range(5)), clean, 50, 0, slot_duration=1.0,
+                         profile=profile, collect_monitor=monitor)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+# --- canary ------------------------------------------------------------------------
+
+
+def test_one_round_counting_run_steps_the_nodes(monkeypatch):
+    calls = []
+    original = nd.step
+
+    def counting(state, event):
+        calls.append(event)
+        return original(state, event)
+
+    monkeypatch.setattr(nd, "step", counting)
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    run_scenario(linear_topology(range(5)), clean, 1, seed=0)
+    assert len(calls) == 20  # 4 hops: tx start/end, rx start/bytes/end
+
+
+def test_perturbed_engine_trips_the_canary(monkeypatch):
+    original = sim._block_outcomes
+
+    def perturbed(*args):
+        live, delivered, nbytes, bad = original(*args)
+        return live, delivered, nbytes + 1, bad
+
+    monkeypatch.setattr(sim, "_block_outcomes", perturbed)
+    with pytest.raises(RuntimeError, match="counting engine"):
+        run_scenario(linear_topology(range(5)), ANCHOR, 10, seed=0)

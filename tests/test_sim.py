@@ -60,6 +60,8 @@ def test_topology_validation():
         linear_topology([0])
     with pytest.raises(ValueError):
         linear_topology([0, 1, 2], auth_keys=[180, 180, 154])
+    with pytest.raises(ValueError):
+        linear_topology([0, 255])  # records carry the id in one byte, 0..254
     nodes = (
         NodeSpec(0, 180, NodeRole.RELAY),
         NodeSpec(1, 170, NodeRole.SINK),
