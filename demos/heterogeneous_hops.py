@@ -46,5 +46,9 @@ print(f"{'after hop':>10} {'closed form':>12} {'simulated':>10}")
 for hop, model in zip(report.hops, closed):
     print(f"{hop.hop_index + 1:>10} {model:>12.4f} {hop.cumulative_psr:>10.4f}")
 
-print("\nthis fitted scenario ships as demos/configs/heterogeneous.cfg:")
+print(
+    "\nthis scenario ships as demos/configs/heterogeneous.cfg, fitted from an"
+    "\nearlier calibration with another clear-water attenuation on the same"
+    "\nc0/noise ridge (the same per-hop BERs at 70 NTU):"
+)
 print("  uwocnet sweep --config demos/configs/heterogeneous.cfg --turbidity 70")

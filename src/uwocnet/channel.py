@@ -17,15 +17,22 @@ with no error correction, so a packet of B bytes survives with probability
 (1 - ber)^(10*B).
 
 calibrate() fits the free channel coefficients to measured packet success
-rates with a bounded grid search refined by coordinate descent - fixed
-iteration budgets throughout, so fitting is deterministic and repeatable.
+rates in closed form: each target PSR inverts to one BER, hence one value of
+ln(rx / 2 sigma), which is linear in (ln noise_sigma, clear-water
+attenuation, turbidity slope); a least-squares solve over the few
+sign-constraint cases gives the fit, with no iteration or tuning constant.
+Targets at a single per-hop distance cannot separate the clear-water
+attenuation from the noise, so it is then held at its ChannelParams default
+(`uwocnet calibrate --fix clear_water_attenuation=X` holds another value).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import combinations
 
+import numpy as np
 from scipy.special import erfcinv
 
 from .frame import nominal_frame_length
@@ -37,9 +44,9 @@ BITS_PER_BYTE_ON_WIRE = 10  # 8N1: start + 8 data + stop
 class ChannelParams:
     """Optical channel coefficients, lux-denominated."""
 
-    source_lux: float  # intensity at the transmitter aperture, > 0
-    clear_water_attenuation: float  # 1/m, >= 0
-    turbidity_slope: float  # 1/(m*NTU), >= 0
+    source_lux: float = 1000.0  # intensity at the transmitter aperture, > 0
+    clear_water_attenuation: float = 0.05  # 1/m, >= 0
+    turbidity_slope: float = 0.005  # 1/(m*NTU), >= 0
     ambient_lux: float = 100.0  # background light, [0, 10000]
     noise_sigma: float = 1.0  # lux-equivalent RMS receiver noise, > 0
 
@@ -179,7 +186,6 @@ class CalibrationTarget:
 
 class CalibrationDiverged(Exception):
     def __init__(self, residuals: tuple[float, ...], tolerance: float) -> None:
-        worst = max(residuals)
         super().__init__(
             f"calibration residuals {[f'{r:.3g}' for r in residuals]} "
             f"exceed tolerance {tolerance}"
@@ -189,20 +195,24 @@ class CalibrationDiverged(Exception):
 
 
 _FREE_FIELDS = ("clear_water_attenuation", "turbidity_slope", "noise_sigma")
-_DEFAULT_FIXED = {"source_lux": 1000.0, "ambient_lux": 100.0}
-# turbidity_slope and noise_sigma span orders of magnitude, so both are
-# searched in log space; a slope of 1e-7 /(m*NTU) is indistinguishable
-# from zero at tank scales (70 NTU * 16 m * 1e-7 ~ 1e-4 optical depths).
-_BOUNDS = {
-    "clear_water_attenuation": (0.0, 2.5),
-    "turbidity_slope": (1e-7, 0.2),
-    "noise_sigma": (1e-3, 100.0),
-}
-_LOG_AXES = frozenset({"turbidity_slope", "noise_sigma"})
-_GRID_POINTS = 21
-_DESCENT_PASSES = 40
-_SCAN_POINTS = 257
-_TERNARY_ITERS = 60
+
+
+def _transmitters(target: CalibrationTarget, node_ids) -> tuple[int, ...]:
+    """Ids transmitting on the target's hops, default 0..hop_count-1."""
+    if node_ids is None:
+        return tuple(range(target.hop_count))
+    ids = tuple(node_ids)
+    if len(ids) < target.hop_count:
+        raise ValueError(
+            f"need {target.hop_count} transmitting node ids, got {len(ids)}"
+        )
+    return ids[: target.hop_count]
+
+
+def _ber_for_success(psr: float, frame_bytes: int) -> float:
+    """Inverse of packet_success: the BER at which frame_bytes survive with
+    probability psr (expm1 keeps precision for psr near 1)."""
+    return -math.expm1(math.log(psr) / (BITS_PER_BYTE_ON_WIRE * frame_bytes))
 
 
 def model_cumulative_psr(
@@ -213,18 +223,9 @@ def model_cumulative_psr(
     node_ids are the transmitting nodes' ids in hop order (they shape the
     frame sizes); the default 0..hop_count-1 matches the standard line.
     """
-    if node_ids is None:
-        ids = range(target.hop_count)
-    else:
-        ids = tuple(node_ids)
-        if len(ids) < target.hop_count:
-            raise ValueError(
-                f"need {target.hop_count} transmitting node ids, got {len(ids)}"
-            )
-        ids = ids[: target.hop_count]
     d = target.total_distance_m / target.hop_count
     link = LinkSpec(d, target.turbidity_ntu)
-    lengths = hop_frame_lengths(ids)
+    lengths = hop_frame_lengths(_transmitters(target, node_ids))
     return cumulative_path_success(params, [link] * target.hop_count, lengths)[-1]
 
 
@@ -239,14 +240,30 @@ def calibrate(
     targets: iterable of CalibrationTarget or (ntu, distance_m, hops, psr)
     tuples.  fixed: field name -> value for parameters held constant;
     anything in {clear_water_attenuation, turbidity_slope, noise_sigma} not
-    fixed is fitted.  source_lux and ambient_lux always come from `fixed`
-    or their defaults (1000 lux, 100 lux) - the error rate depends only on
+    fixed is fitted.  Every other field comes from `fixed` or its
+    ChannelParams default - the error rate depends only on the
     source/noise ratio, so the source level just sets the lux scale.
 
-    Minimizes the sum of squared PSR errors with a bounded grid search
-    refined by coordinate descent (ternary line searches, fixed budgets).
-    Raises CalibrationDiverged if any per-target residual ends above
-    `tolerance`.
+    The fit is closed form.  All hops of a target share one link (distance
+    d = D/H, its turbidity, no extra loss), hence one BER, and the target
+    PSR is (1 - ber)^(10 * sum of its frame lengths): inverting that gives
+    the BER, and q_inverse the required x = rx / (2 sigma).  Then
+
+        ln x = ln(source_lux / 2) - ln sigma - c0 * d - slope * NTU * d
+
+    is linear in (ln sigma, c0, slope).  Fixed parameters move to the
+    right-hand side and the rest is solved by least squares in ln x under
+    c0 >= 0 and slope >= 0, by trying each set of bounds held at zero and
+    keeping the feasible solution with the least squared error (the first
+    in a fixed order on ties).
+
+    Targets that all share one per-hop distance cannot tell c0 from sigma.
+    When the free parameters are not identifiable and c0 is free, c0 is
+    held at its ChannelParams default (pass it in `fixed`, or `--fix
+    clear_water_attenuation=X` on the command line, to hold another
+    value); if they still are not, ValueError names them.  Raises
+    CalibrationDiverged if any per-target PSR residual exceeds
+    `tolerance`, as for targets that need a negative coefficient.
     """
     targets = tuple(
         t if isinstance(t, CalibrationTarget) else CalibrationTarget(*t)
@@ -255,105 +272,65 @@ def calibrate(
     if not targets:
         raise ValueError("need at least one calibration target")
     fixed = dict(fixed or {})
-    unknown = set(fixed) - set(_FREE_FIELDS) - set(_DEFAULT_FIXED)
+    unknown = set(fixed) - {f.name for f in fields(ChannelParams)}
     if unknown:
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
-    free = [f for f in _FREE_FIELDS if f not in fixed]
-    if "turbidity_slope" in free:
-        if len({t.turbidity_ntu for t in targets}) < 2:
+    base = replace(ChannelParams(), **fixed)
+
+    log_x = []
+    for t in targets:
+        frame_bytes = sum(hop_frame_lengths(_transmitters(t, node_ids)))
+        x = q_inverse(_ber_for_success(t.target_psr, frame_bytes))
+        if x <= 0:
             raise ValueError(
-                "fitting turbidity_slope needs >= 2 targets with distinct "
-                "turbidities (or fix it)"
+                f"target PSR {t.target_psr} needs a BER of at least 0.5, "
+                "which no channel reaches"
             )
+        log_x.append(math.log(x))
+    d = np.array([t.total_distance_m / t.hop_count for t in targets])
+    ntu = np.array([t.turbidity_ntu for t in targets])
+    # y = a @ theta, theta = (c0, slope, ln sigma) in _FREE_FIELDS order
+    y = np.array(log_x) - math.log(base.source_lux / 2.0)
+    a = np.column_stack([-d, -ntu * d, -np.ones_like(d)])
+    theta = np.array(
+        [
+            base.clear_water_attenuation,
+            base.turbidity_slope,
+            math.log(base.noise_sigma),
+        ]
+    )
 
-    base = dict(_DEFAULT_FIXED)
-    base.update(fixed)
+    def identifiable(cols: list[int]) -> bool:
+        return np.linalg.matrix_rank(a[:, cols]) == len(cols)
 
-    def build(values: dict[str, float]) -> ChannelParams:
-        merged = dict(base)
-        merged.update(values)
-        merged.setdefault("clear_water_attenuation", 0.0)
-        merged.setdefault("turbidity_slope", 0.0)
-        merged.setdefault("noise_sigma", 1.0)
-        return ChannelParams(**merged)
-
-    def sse(values: dict[str, float]) -> float:
-        params = build(values)
-        return sum(
-            (model_cumulative_psr(params, t, node_ids) - t.target_psr) ** 2
-            for t in targets
+    free = [i for i, name in enumerate(_FREE_FIELDS) if name not in fixed]
+    if not identifiable(free) and 0 in free:
+        free.remove(0)  # c0 keeps base's value, the ChannelParams default
+    if not identifiable(free):
+        raise ValueError(
+            f"the targets cannot identify {[_FREE_FIELDS[i] for i in free]}; "
+            "add targets at other distances or turbidities, or fix one"
         )
 
-    def to_axis(name: str, value: float) -> float:
-        return math.log(value) if name in _LOG_AXES else value
+    signed = [i for i in free if i < 2]  # c0 >= 0 and slope >= 0
+    best_err = math.inf
+    for zeros in (c for k in range(len(signed) + 1) for c in combinations(signed, k)):
+        keep = [i for i in free if i not in zeros]
+        rest = [i for i in range(3) if i not in keep]
+        cand = theta.copy()
+        cand[list(zeros)] = 0.0
+        if keep:
+            cand[keep] = np.linalg.lstsq(
+                a[:, keep], y - a[:, rest] @ cand[rest], rcond=None
+            )[0]
+        err = float(np.sum((a @ cand - y) ** 2))
+        if (cand[signed] >= 0).all() and err < best_err:
+            best_err, best = err, cand
 
-    def from_axis(name: str, x: float) -> float:
-        return math.exp(x) if name in _LOG_AXES else x
-
-    def axis_range(name: str) -> tuple[float, float]:
-        lo, hi = _BOUNDS[name]
-        return to_axis(name, lo), to_axis(name, hi)
-
-    def axis_points(name: str, count: int) -> list[float]:
-        lo, hi = axis_range(name)
-        return [
-            from_axis(name, lo + (hi - lo) * i / (count - 1)) for i in range(count)
-        ]
-
-    # Stage 1: full grid over the free axes (ties resolve to the first
-    # minimum, so the result does not depend on evaluation order).
-    best_vals = {name: axis_points(name, _GRID_POINTS)[0] for name in free}
-    if free:
-        grids = [axis_points(name, _GRID_POINTS) for name in free]
-        best_err = math.inf
-        idx = [0] * len(free)
-        while True:
-            cand = {name: grids[k][idx[k]] for k, name in enumerate(free)}
-            err = sse(cand)
-            if err < best_err:
-                best_err = err
-                best_vals = cand
-            for k in range(len(free) - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < len(grids[k]):
-                    break
-                idx[k] = 0
-            else:
-                break
-
-    # Stage 2: coordinate descent.  Each line search scans its whole axis
-    # (immune to the flat plateaus where every packet survives or dies)
-    # and then ternary-refines inside the bracketing scan cell.
-    def line_search(name: str, current: dict[str, float]) -> float:
-        def eval_at(x: float) -> float:
-            return sse({**current, name: from_axis(name, x)})
-
-        lo, hi = axis_range(name)
-        step = (hi - lo) / (_SCAN_POINTS - 1)
-        best_i = 0
-        best_e = math.inf
-        for i in range(_SCAN_POINTS):
-            e = eval_at(lo + i * step)
-            if e < best_e:
-                best_e = e
-                best_i = i
-        a = lo + max(best_i - 1, 0) * step
-        b = lo + min(best_i + 1, _SCAN_POINTS - 1) * step
-        for _ in range(_TERNARY_ITERS):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if eval_at(m1) <= eval_at(m2):
-                b = m2
-            else:
-                a = m1
-        return from_axis(name, 0.5 * (a + b))
-
-    if free:
-        for _ in range(_DESCENT_PASSES):
-            for name in free:
-                best_vals[name] = line_search(name, best_vals)
-
-    params = build(best_vals)
+    fitted = {_FREE_FIELDS[i]: float(best[i]) for i in free}
+    if "noise_sigma" in fitted:
+        fitted["noise_sigma"] = math.exp(fitted["noise_sigma"])
+    params = replace(base, **fitted)
     residuals = tuple(
         abs(model_cumulative_psr(params, t, node_ids) - t.target_psr)
         for t in targets
@@ -389,8 +366,7 @@ def fit_link_loss_overrides(
     ids = tuple(node_ids) if node_ids is not None else tuple(range(hops))
     lengths = hop_frame_lengths(ids)
 
-    bits0 = BITS_PER_BYTE_ON_WIRE * lengths[0]
-    ber_first = 1.0 - first_hop_psr ** (1.0 / bits0)
+    ber_first = _ber_for_success(first_hop_psr, lengths[0])
     ratio = final_psr / first_hop_psr
 
     def tail_product(sigma: float) -> float:

@@ -158,9 +158,6 @@ def cmd_calibrate(args) -> int:
         fitted = calibrate(
             targets, fixed=fixed, tolerance=args.tolerance, node_ids=transmitters
         )
-    except CalibrationDiverged as exc:
-        print(f"calibration diverged: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -258,6 +255,9 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--rounds", type=int, default=None, help="override rounds")
         p.add_argument("--out", default=None, help="override output path")
+
+    def simulating(p: argparse.ArgumentParser) -> None:
+        common(p)
         p.add_argument(
             "--workers", type=int, default=1,
             help="split rounds into N partitions, run in order (same output)",
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_sweep = sub.add_parser("sweep", help="PSR vs turbidity sweep to CSV")
-    common(p_sweep)
+    simulating(p_sweep)
     p_sweep.add_argument(
         "--turbidity", default=None, help="comma-separated NTU list"
     )
@@ -291,7 +291,7 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mon = sub.add_parser("monitor", help="write the delivered-temperature log")
-    common(p_mon)
+    simulating(p_mon)
     p_mon.add_argument(
         "--turbidity", default=None, help="single NTU value (default 0.01)"
     )

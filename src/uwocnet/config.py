@@ -10,11 +10,11 @@ default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .channel import ChannelParams, LinkSpec
-from .node import NodeRole, SensorProfile, min_slot_duration
-from .sim import NodeSpec, Topology
+from .channel import ChannelParams
+from .node import SensorProfile, min_slot_duration
+from .sim import Topology, linear_topology
 
 
 class ParseError(Exception):
@@ -31,11 +31,6 @@ class ValidationError(Exception):
         self.constraint = constraint
 
 
-DEFAULT_SOURCE_LUX = 1000.0
-DEFAULT_CLEAR_WATER_ATTENUATION = 0.05
-DEFAULT_TURBIDITY_SLOPE = 0.005
-DEFAULT_AMBIENT_LUX = 100.0
-DEFAULT_NOISE_SIGMA = 1.0
 DEFAULT_BIT_RATE = 9600.0
 DEFAULT_ROUNDS = 1000
 DEFAULT_LINK_DISTANCE_M = 4.0
@@ -58,22 +53,13 @@ class ScenarioConfig:
     output_path: str = "results.csv"
 
     def topology(self, turbidity_ntu: float = 0.0) -> Topology:
-        last = len(self.node_ids) - 1
-        nodes = tuple(
-            NodeSpec(
-                nid,
-                key,
-                NodeRole.ORIGINATOR if i == 0
-                else NodeRole.SINK if i == last
-                else NodeRole.RELAY,
-            )
-            for i, (nid, key) in enumerate(zip(self.node_ids, self.auth_keys))
+        return linear_topology(
+            self.node_ids,
+            self.auth_keys,
+            self.link_distances_m,
+            turbidity_ntu,
+            self.extra_loss,
         )
-        links = tuple(
-            LinkSpec(d, turbidity_ntu, loss)
-            for d, loss in zip(self.link_distances_m, self.extra_loss)
-        )
-        return Topology(nodes, links)
 
     def slot_duration(self) -> float:
         if self.slot_duration_s is not None:
@@ -211,17 +197,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
     try:
         channel = ChannelParams(
-            source_lux=scalar("channel.source_lux", float, DEFAULT_SOURCE_LUX),
-            clear_water_attenuation=scalar(
-                "channel.clear_water_attenuation",
-                float,
-                DEFAULT_CLEAR_WATER_ATTENUATION,
-            ),
-            turbidity_slope=scalar(
-                "channel.turbidity_slope", float, DEFAULT_TURBIDITY_SLOPE
-            ),
-            ambient_lux=scalar("channel.ambient_lux", float, DEFAULT_AMBIENT_LUX),
-            noise_sigma=scalar("channel.noise_sigma", float, DEFAULT_NOISE_SIGMA),
+            **{
+                f.name: scalar(f"channel.{f.name}", float, f.default)
+                for f in fields(ChannelParams)
+            }
         )
     except ValueError as exc:
         raise ValidationError("channel", str(exc)) from None

@@ -101,17 +101,28 @@ class Topology:
 def linear_topology(
     node_ids,
     auth_keys=None,
-    link_distance_m: float = 4.0,
+    link_distance_m=4.0,
     turbidity_ntu: float = 0.0,
     extra_loss=None,
 ) -> Topology:
-    """Build the standard line: equal-length hops, roles by position."""
+    """Build a relay line with roles by position.
+
+    link_distance_m is one distance for every hop or a sequence of one
+    distance per link.
+    """
     ids = tuple(node_ids)
+    hops = len(ids) - 1
     keys = tuple(auth_keys) if auth_keys is not None else fr.DEFAULT_KEY_TABLE[: len(ids)]
     if len(keys) != len(ids):
         raise ValueError("need one auth key per node")
-    losses = tuple(extra_loss) if extra_loss is not None else (1.0,) * (len(ids) - 1)
-    if len(losses) != len(ids) - 1:
+    if isinstance(link_distance_m, (int, float)):
+        distances = (link_distance_m,) * hops
+    else:
+        distances = tuple(link_distance_m)
+    if len(distances) != hops:
+        raise ValueError("need one distance per link")
+    losses = tuple(extra_loss) if extra_loss is not None else (1.0,) * hops
+    if len(losses) != hops:
         raise ValueError("need one extra_loss per link")
     nodes = []
     for i, (nid, key) in enumerate(zip(ids, keys)):
@@ -119,12 +130,12 @@ def linear_topology(
             nd.NodeRole.ORIGINATOR
             if i == 0
             else nd.NodeRole.SINK
-            if i == len(ids) - 1
+            if i == hops
             else nd.NodeRole.RELAY
         )
         nodes.append(NodeSpec(nid, key, role))
     links = tuple(
-        LinkSpec(link_distance_m, turbidity_ntu, loss) for loss in losses
+        LinkSpec(d, turbidity_ntu, loss) for d, loss in zip(distances, losses)
     )
     return Topology(tuple(nodes), links)
 

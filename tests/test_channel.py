@@ -289,6 +289,53 @@ def test_calibrate_diverges_on_contradictory_targets():
     assert max(exc.value.residuals) > 0.005
 
 
+def test_calibrate_recovers_three_coefficients_from_two_distances():
+    # two per-hop distances separate c0 from sigma, so nothing is held
+    truth = params_with(
+        clear_water_attenuation=0.55, turbidity_slope=3e-4, noise_sigma=40.0
+    )
+    shapes = ((0.01, 16.0, 4), (70.0, 16.0, 4), (30.0, 8.0, 4))
+    targets = [
+        CalibrationTarget(ntu, dist, hops, model_cumulative_psr(
+            truth, CalibrationTarget(ntu, dist, hops, 0.5)
+        ))
+        for ntu, dist, hops in shapes
+    ]
+    fitted = calibrate(targets)
+    for name in ("clear_water_attenuation", "turbidity_slope", "noise_sigma"):
+        assert getattr(fitted, name) == pytest.approx(
+            getattr(truth, name), rel=1e-9
+        )
+
+
+def test_calibrate_paper_anchors_exact_with_default_c0_held():
+    params = calibrate(PAPER_TARGETS)
+    for target in PAPER_TARGETS:
+        assert abs(model_cumulative_psr(params, target) - target.target_psr) <= 1e-12
+    # one per-hop distance cannot tell c0 from sigma: c0 keeps its default
+    assert params.clear_water_attenuation == ChannelParams().clear_water_attenuation
+    held = calibrate(PAPER_TARGETS, fixed={"clear_water_attenuation": 0.3})
+    assert held.clear_water_attenuation == 0.3
+    assert held.turbidity_slope == pytest.approx(params.turbidity_slope, rel=1e-9)
+
+
+def test_calibrate_unidentifiable_targets_raise():
+    # equal NTU * distance-per-hop: slope and sigma stay confounded with c0 held
+    targets = [
+        CalibrationTarget(10.0, 16.0, 4, 0.9),
+        CalibrationTarget(20.0, 8.0, 4, 0.8),
+    ]
+    with pytest.raises(ValueError, match="turbidity_slope"):
+        calibrate(targets)
+
+
+def test_calibrate_rejects_psr_below_half_ber_floor():
+    # one 8-byte frame at BER 0.5 still survives with probability 2^-80
+    fixed = {"turbidity_slope": 0.0, "noise_sigma": 1.0}
+    with pytest.raises(ValueError, match="BER of at least 0.5"):
+        calibrate([CalibrationTarget(0.01, 4.0, 1, 1e-30)], fixed=fixed)
+
+
 # --- heterogeneous hop profile ---------------------------------------------------
 
 

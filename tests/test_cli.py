@@ -138,6 +138,21 @@ def test_calibrate_fix_flag(base_cfg, tmp_path):
     assert parse_config(out.read_text()).channel.turbidity_slope == 0.0
 
 
+def test_calibrate_rejects_workers_flag(base_cfg, capsys):
+    # calibrate simulates no rounds, so it has no --workers option
+    code = main(
+        [
+            "calibrate",
+            "--config", str(base_cfg),
+            "--target", "0.01:16:4:0.95",
+            "--target", "70:16:4:0.89",
+            "--workers", "2",
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert "--workers" in capsys.readouterr().err
+
+
 # --- sweep ------------------------------------------------------------------
 
 

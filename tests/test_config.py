@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from uwocnet.channel import ChannelParams
 from uwocnet.config import (
-    DEFAULT_AMBIENT_LUX,
     DEFAULT_BIT_RATE,
     ParseError,
     ScenarioConfig,
@@ -24,7 +24,8 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.auth_keys == (180, 170, 154, 140, 120)
     assert cfg.link_distances_m == (4.0, 4.0, 4.0, 4.0)
     assert cfg.extra_loss == (1.0, 1.0, 1.0, 1.0)
-    assert cfg.channel.ambient_lux == DEFAULT_AMBIENT_LUX == 100.0
+    assert cfg.channel == ChannelParams()
+    assert cfg.channel.ambient_lux == 100.0
     assert cfg.bit_rate == DEFAULT_BIT_RATE == 9600.0
     assert cfg.slot_duration_s is None  # auto
     assert cfg.slot_duration() == min_slot_duration(5, 9600.0)

@@ -55,6 +55,13 @@ def test_linear_topology_roles_and_defaults():
     assert all(l.turbidity_ntu == 50.0 for l in swapped.links)
 
 
+def test_linear_topology_per_link_distances():
+    topo = linear_topology(range(3), link_distance_m=(3.0, 5.0))
+    assert [l.distance_m for l in topo.links] == [3.0, 5.0]
+    with pytest.raises(ValueError):
+        linear_topology(range(3), link_distance_m=(3.0, 5.0, 7.0))
+
+
 def test_topology_validation():
     with pytest.raises(ValueError):
         linear_topology([0])
