@@ -229,6 +229,41 @@ def model_cumulative_psr(
     return cumulative_path_success(params, [link] * target.hop_count, lengths)[-1]
 
 
+def _design_matrix(targets) -> np.ndarray:
+    """Coefficients of (c0, slope, ln sigma) in ln x_t - ln(source_lux / 2)."""
+    d = np.array([t.total_distance_m / t.hop_count for t in targets])
+    ntu = np.array([t.turbidity_ntu for t in targets])
+    return np.column_stack([-d, -ntu * d, -np.ones_like(d)])
+
+
+def _free_columns(a: np.ndarray, fixed) -> list[int]:
+    """Indices into _FREE_FIELDS of what calibrate fits, for design matrix a."""
+
+    def identifiable(cols: list[int]) -> bool:
+        return np.linalg.matrix_rank(a[:, cols]) == len(cols)
+
+    free = [i for i, name in enumerate(_FREE_FIELDS) if name not in fixed]
+    if not identifiable(free) and 0 in free:
+        free.remove(0)  # held at its ChannelParams default
+    if not identifiable(free):
+        raise ValueError(
+            f"the targets cannot identify {[_FREE_FIELDS[i] for i in free]}; "
+            "add targets at other distances or turbidities, or fix one"
+        )
+    return free
+
+
+def fitted_fields(targets, fixed=()) -> tuple[str, ...]:
+    """The parameters calibrate fits to these CalibrationTargets.
+
+    Of clear_water_attenuation, turbidity_slope and noise_sigma, those not
+    named in `fixed` are fitted, except that clear_water_attenuation is held
+    when the targets cannot identify it together with the rest (see
+    calibrate).  Raises ValueError if they still cannot.
+    """
+    return tuple(_FREE_FIELDS[i] for i in _free_columns(_design_matrix(targets), fixed))
+
+
 def calibrate(
     targets,
     fixed: dict[str, float] | None = None,
@@ -287,11 +322,9 @@ def calibrate(
                 "which no channel reaches"
             )
         log_x.append(math.log(x))
-    d = np.array([t.total_distance_m / t.hop_count for t in targets])
-    ntu = np.array([t.turbidity_ntu for t in targets])
     # y = a @ theta, theta = (c0, slope, ln sigma) in _FREE_FIELDS order
     y = np.array(log_x) - math.log(base.source_lux / 2.0)
-    a = np.column_stack([-d, -ntu * d, -np.ones_like(d)])
+    a = _design_matrix(targets)
     theta = np.array(
         [
             base.clear_water_attenuation,
@@ -299,18 +332,7 @@ def calibrate(
             math.log(base.noise_sigma),
         ]
     )
-
-    def identifiable(cols: list[int]) -> bool:
-        return np.linalg.matrix_rank(a[:, cols]) == len(cols)
-
-    free = [i for i, name in enumerate(_FREE_FIELDS) if name not in fixed]
-    if not identifiable(free) and 0 in free:
-        free.remove(0)  # c0 keeps base's value, the ChannelParams default
-    if not identifiable(free):
-        raise ValueError(
-            f"the targets cannot identify {[_FREE_FIELDS[i] for i in free]}; "
-            "add targets at other distances or turbidities, or fix one"
-        )
+    free = _free_columns(a, fixed)
 
     signed = [i for i in free if i < 2]  # c0 >= 0 and slope >= 0
     best_err = math.inf

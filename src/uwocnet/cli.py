@@ -16,6 +16,7 @@ from .channel import (
     CalibrationDiverged,
     CalibrationTarget,
     calibrate,
+    fitted_fields,
     model_cumulative_psr,
 )
 from .config import (
@@ -35,6 +36,13 @@ CSV_HEADER = (
     "scenario,turbidity_ntu,hop_index,link_distance_m,packets_attempted,"
     "packets_delivered,per_hop_psr,cumulative_psr,mean_rx_lux"
 )
+
+
+_CALIBRATED_UNITS = {
+    "clear_water_attenuation": "/m",
+    "turbidity_slope": "/(m*NTU)",
+    "noise_sigma": "lux",
+}
 
 
 class UsageError(Exception):
@@ -165,9 +173,10 @@ def cmd_calibrate(args) -> int:
     out_path = args.out or (str(Path(args.config).with_suffix("")) + ".calibrated.cfg")
     Path(out_path).write_text(emit_config(config))
 
-    print(f"fitted clear_water_attenuation = {fitted.clear_water_attenuation:.6g} /m")
-    print(f"fitted turbidity_slope         = {fitted.turbidity_slope:.6g} /(m*NTU)")
-    print(f"fitted noise_sigma             = {fitted.noise_sigma:.6g} lux")
+    free = fitted_fields(targets, fixed)
+    for name, unit in _CALIBRATED_UNITS.items():
+        label = f"{'fitted' if name in free else 'held'} {name}"
+        print(f"{label:<30} = {getattr(fitted, name):.6g} {unit}")
     for t in targets:
         model = model_cumulative_psr(fitted, t, transmitters)
         print(

@@ -157,33 +157,6 @@ class Frame:
             validate_auth_key(key)
 
 
-@dataclass(frozen=True)
-class KeyRegistry:
-    """Total mapping node_id -> authentication key, keys all distinct."""
-
-    keys: dict[int, int]
-
-    def __post_init__(self) -> None:
-        for key in self.keys.values():
-            validate_auth_key(key)
-        if len(set(self.keys.values())) != len(self.keys):
-            raise ValueError("authentication keys must be distinct across nodes")
-
-    def key_for(self, node_id: int) -> int:
-        if node_id not in self.keys:
-            raise KeyError(f"no authentication key configured for node {node_id}")
-        return self.keys[node_id]
-
-    def chain(self, node_ids: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.key_for(n) for n in node_ids)
-
-    @classmethod
-    def default_line(cls, node_ids: tuple[int, ...] | list[int]) -> "KeyRegistry":
-        if len(node_ids) > len(DEFAULT_KEY_TABLE):
-            raise ValueError("default key table covers at most 5 nodes")
-        return cls(dict(zip(node_ids, DEFAULT_KEY_TABLE)))
-
-
 def _escaped(b):
     """1 where byte b needs escaping, else 0; elementwise on numpy arrays."""
     return sum((b == e) * 1 for e in _ESCAPED)

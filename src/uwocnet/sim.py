@@ -6,18 +6,22 @@ hop).  Any bit flip - framing bits included - kills the packet for
 packet-success accounting and terminates the round's propagation, matching
 a no-FEC receiver where ground truth is known.
 
-Two engines give the same counts.  The reference engine steps every node's
-state machine through every round; it runs whenever the monitor log is
-collected, since only it decodes what the sink delivers.  The counting
-engine, used otherwise, computes a block of rounds at once in numpy: each
+Two engines give the same results.  The reference engine steps every
+node's state machine through every round.  The counting engine, which
+serves every run, computes a block of rounds at once in numpy: each
 transmitter's sensor reading, hence each hop's frame length, and each hop's
 zero-flip test, one link substream word per 1024-bit chunk.  It draws the
 same words as the reference engine, so its counts are exact, not
-statistical.  As a canary on every call it also replays its first round
-through the reference engine and raises RuntimeError if the two disagree.
+statistical.  A round reaches the monitor only when every hop drew zero
+flips, so the sink decodes exactly the records that were encoded: its log
+row is the transmitters' readings at wire resolution plus the sink's own
+reading, built per block from the same readings.  The reference engine is
+the differential oracle of the tests and, on every call, a canary: the
+counting engine replays its first round through it and raises RuntimeError
+if the counts or that round's monitor row disagree.
 
 Rounds are mutually independent: workers=N splits them into N partitions,
-run one after another in this process, and the counts are bit-identical
+run one after another in this process, and the results are bit-identical
 for every partition.
 """
 
@@ -288,34 +292,46 @@ def _simulate_rounds(
     return attempted, delivered, frame_bytes_sum, monitor
 
 
+def _readings(
+    topology: Topology,
+    rnd: np.ndarray,
+    slot_duration: float,
+    profile: nd.SensorProfile,
+) -> tuple[np.ndarray, np.ndarray]:
+    """When every node reads its sensor in rounds rnd, and what transmitters read.
+
+    Returns (clocks, raw): clocks of shape (rounds, nodes), raw the
+    transmitters' fixed-point readings, of shape (rounds, hops).
+    """
+    hops = topology.hop_count
+    t0 = rnd * (hops * slot_duration)
+    # The originator reads at its tx slot start, a relay or the sink at the
+    # end of its rx slot, each time summed as the state machine sums it.
+    clocks = np.empty((len(rnd), hops + 1))
+    clocks[:, 0] = t0 + 0 * slot_duration
+    for j in range(1, hops + 1):
+        clocks[:, j] = (t0 + (j - 1) * slot_duration) + slot_duration
+    ids = np.array(topology.node_ids[:-1])
+    return clocks, nd.sensor_raw(ids, clocks[:, :-1], profile)
+
+
 def _block_outcomes(
     topology: Topology,
     bers: list[float],
     seed: int,
-    first_round: int,
-    last_round: int,
-    slot_duration: float,
-    profile: nd.SensorProfile,
+    rnd: np.ndarray,
+    raw: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What _simulate_rounds meets on each hop of rounds [first_round, last_round).
+    """What _simulate_rounds meets on each hop of rounds rnd.
 
-    Returns (attempted, delivered, frame bytes, out-of-range record encoded),
-    each an array of shape (rounds, hops).
+    raw holds the transmitters' readings (see _readings).  Returns
+    (attempted, delivered, frame bytes, out-of-range record encoded), each
+    an array of shape (rounds, hops).
     """
     hops = topology.hop_count
-    rnd = np.arange(first_round, last_round, dtype=np.int64)
-    t0 = rnd * (hops * slot_duration)
-    # Transmitter j's record: the originator reads at its tx slot start, a
-    # relay at the end of its rx slot, each time summed as the state machine
-    # sums it.
-    clocks = np.empty((len(rnd), hops))
-    clocks[:, 0] = t0 + 0 * slot_duration
-    for j in range(1, hops):
-        clocks[:, j] = (t0 + (j - 1) * slot_duration) + slot_duration
-    ids = np.array(topology.node_ids[:-1])
-    raw = nd.sensor_raw(ids, clocks, profile)
+    ids = topology.node_ids[:-1]
     records = np.column_stack(
-        [fr.record_length(int(i), raw[:, j]) for j, i in enumerate(ids)]
+        [fr.record_length(i, raw[:, j]) for j, i in enumerate(ids)]
     )
     nbytes = fr.FRAME_OVERHEAD + np.arange(1, hops + 1) + np.cumsum(records, axis=1)
 
@@ -338,6 +354,33 @@ def _block_outcomes(
     return live, live & ok, nbytes, live & ~fr.raw_in_range(raw)
 
 
+def _monitor_rows(
+    topology: Topology,
+    rnd: np.ndarray,
+    clocks: np.ndarray,
+    raw: np.ndarray,
+    delivered: np.ndarray,
+    profile: nd.SensorProfile,
+) -> list[MonitorRow]:
+    """The sink's log of the rounds among rnd whose last hop delivered.
+
+    The relayed temperatures are the transmitters' readings at wire
+    resolution; the sink appends its own reading unquantized, taken with
+    the scalar sample_sensor so that it matches the state machine's bit for
+    bit.
+    """
+    sink = topology.node_ids[-1]
+    done = np.nonzero(delivered[:, -1])[0]
+    return [
+        MonitorRow(r, t, (*temps, nd.sample_sensor(sink, t, profile).temperature_c))
+        for r, t, temps in zip(
+            rnd[done].tolist(),
+            clocks[done, -1].tolist(),
+            fr.raw_to_temperature(raw[done]).tolist(),
+        )
+    ]
+
+
 def _zero_flip_threshold(bits: int, ber: float) -> float:
     """The uniform at or below which a chunk of `bits` trials has no flip,
     as Substream.binomial decides it."""
@@ -356,36 +399,45 @@ def _count_rounds(
     last_round: int,
     slot_duration: float,
     profile: nd.SensorProfile,
+    collect_monitor: bool = False,
 ) -> tuple[list[int], list[int], list[int], list[MonitorRow]]:
-    """The counters of _simulate_rounds, computed in blocks of rounds."""
-    canary = list(_simulate_rounds(
+    """The results of _simulate_rounds, computed in blocks of rounds."""
+    *canary, canary_rows = _simulate_rounds(
         topology, params, seed, first_round, first_round + 1, slot_duration,
-        profile, False,
-    )[:3])
+        profile, collect_monitor,
+    )
     bers = [ook_ber(attenuate(params, link), params) for link in topology.links]
     totals = np.zeros((3, topology.hop_count), dtype=np.int64)
+    monitor: list[MonitorRow] = []
     block = max(1, _BLOCK_CELLS // topology.hop_count)
     for lo in range(first_round, last_round, block):
-        hi = min(lo + block, last_round)
-        live, delivered, nbytes, bad = _block_outcomes(
-            topology, bers, seed, lo, hi, slot_duration, profile
-        )
+        rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
+        clocks, raw = _readings(topology, rnd, slot_duration, profile)
+        live, delivered, nbytes, bad = _block_outcomes(topology, bers, seed, rnd, raw)
         if bad.any():
             # The reference engine raises RecordOutOfRange on this round.
-            rnd = lo + int(np.nonzero(bad.any(axis=1))[0][0])
+            r = lo + int(np.nonzero(bad.any(axis=1))[0][0])
             _simulate_rounds(
-                topology, params, seed, rnd, rnd + 1, slot_duration, profile, False
+                topology, params, seed, r, r + 1, slot_duration, profile, False
             )
-            raise RuntimeError(f"round {rnd}: counting engine saw an out-of-range record")
+            raise RuntimeError(f"round {r}: counting engine saw an out-of-range record")
         counts = np.stack([live, delivered, live * nbytes])
-        if lo == first_round and counts[:, 0].tolist() != canary:
-            raise RuntimeError(
-                f"counting engine gives {counts[:, 0].tolist()} for round {lo}, "
-                f"reference engine {canary}"
-            )
+        rows = (
+            _monitor_rows(topology, rnd, clocks, raw, delivered, profile)
+            if collect_monitor
+            else []
+        )
+        if lo == first_round:
+            first = [row for row in rows[:1] if row.round_index == lo]
+            if counts[:, 0].tolist() != canary or first != canary_rows:
+                raise RuntimeError(
+                    f"counting engine gives {counts[:, 0].tolist()} {first} for "
+                    f"round {lo}, reference engine {canary} {canary_rows}"
+                )
         totals += counts.sum(axis=1)
+        monitor.extend(rows)
     attempted, delivered_n, frame_bytes_sum = totals.tolist()
-    return attempted, delivered_n, frame_bytes_sum, []
+    return attempted, delivered_n, frame_bytes_sum, monitor
 
 
 def run_scenario(
@@ -403,9 +455,9 @@ def run_scenario(
     """Simulate `rounds` end-to-end relay rounds; deterministic in seed.
 
     slot_duration defaults to the smallest slot that fits the worst-case
-    frame at bit_rate.  With collect_monitor the reference engine steps the
-    node state machines and logs every delivered round; otherwise the
-    counting engine computes the same counts (see the module docstring).
+    frame at bit_rate.  The counting engine computes the counts and, with
+    collect_monitor, the sink's log of every delivered round, exactly as the
+    reference engine would (see the module docstring).
     workers > 1 splits the rounds into that many partitions, run in order;
     the per-(round, hop) substreams make every partition bit-identical to
     one.
@@ -429,14 +481,9 @@ def run_scenario(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
-        if collect_monitor:
-            a, d, f, m = _simulate_rounds(
-                topology, params, seed, lo, hi, slot_duration, profile, True
-            )
-        else:
-            a, d, f, m = _count_rounds(
-                topology, params, seed, lo, hi, slot_duration, profile
-            )
+        a, d, f, m = _count_rounds(
+            topology, params, seed, lo, hi, slot_duration, profile, collect_monitor
+        )
         for h in range(hops):
             attempted[h] += a[h]
             delivered[h] += d[h]

@@ -1,5 +1,8 @@
 """CLI harness: subcommands, CSV schemas, exit codes, determinism."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from uwocnet.cli import (
@@ -10,6 +13,8 @@ from uwocnet.cli import (
     main,
 )
 from uwocnet.config import parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 BASE_CONFIG = """\
 topology.nodes = 0:180, 1:170, 2:154, 3:140, 4:120
@@ -136,6 +141,57 @@ def test_calibrate_fix_flag(base_cfg, tmp_path):
     )
     assert code == EXIT_OK
     assert parse_config(out.read_text()).channel.turbidity_slope == 0.0
+
+
+def _labels(printed):
+    """Parameter name -> 'fitted' or 'held', from the calibrate report."""
+    words = [line.split()[:2] for line in printed.splitlines() if " = " in line]
+    return {name: label for label, name in words}
+
+
+def test_calibrate_reports_held_attenuation_on_paper_anchors(
+    base_cfg, tmp_path, capsys
+):
+    # one per-hop distance cannot tell c0 from sigma, so c0 keeps its default
+    code = main(
+        [
+            "calibrate",
+            "--config", str(base_cfg),
+            "--target", "0.01:16:4:0.95",
+            "--target", "70:16:4:0.89",
+            "--out", str(tmp_path / "paper.cfg"),
+        ]
+    )
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "held clear_water_attenuation   = 0.05 /m" in printed
+    assert _labels(printed) == {
+        "clear_water_attenuation": "held",
+        "turbidity_slope": "fitted",
+        "noise_sigma": "fitted",
+    }
+
+
+def test_calibrate_reports_fixed_parameter_as_held(base_cfg, tmp_path, capsys):
+    # two per-hop distances identify c0; the slope is held by --fix
+    code = main(
+        [
+            "calibrate",
+            "--config", str(base_cfg),
+            "--target", "0.01:16:4:0.95",
+            "--target", "0.01:8:4:0.98",
+            "--fix", "turbidity_slope=0.0002",
+            "--out", str(tmp_path / "two.cfg"),
+        ]
+    )
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "held turbidity_slope           = 0.0002 /(m*NTU)" in printed
+    assert _labels(printed) == {
+        "clear_water_attenuation": "fitted",
+        "turbidity_slope": "held",
+        "noise_sigma": "fitted",
+    }
 
 
 def test_calibrate_rejects_workers_flag(base_cfg, capsys):
@@ -288,6 +344,40 @@ def test_monitor_drops_failed_rounds(lossy_cfg, tmp_path, capsys):
     assert f"{delivered} of 500 rounds delivered" in printed
     reported_psr = float(printed.split("cumulative PSR ")[1].split(")")[0])
     assert reported_psr == pytest.approx(delivered / 500, abs=1e-9)
+
+
+# sha256 of `uwocnet monitor --turbidity 70 --rounds 300`, recorded when the
+# state machines still wrote the log; heterogeneous.cfg also drops rounds.
+MONITOR_GOLDEN = {
+    "baseline": (
+        "300 of 300",
+        "4c101ad5d5b61c4d96c471aa532c8955405f1992797ac099431f08dd650680f0",
+    ),
+    "heterogeneous": (
+        "258 of 300",
+        "7a627a3d4a393639a1da174e5513b8c7b0d74eb525d0d0a1caa52938d4057ebf",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("name", sorted(MONITOR_GOLDEN))
+def test_monitor_csv_golden(name, workers, tmp_path, capsys):
+    out = tmp_path / "mon.csv"
+    code = main(
+        [
+            "monitor",
+            "--config", str(CONFIGS / f"{name}.cfg"),
+            "--turbidity", "70",
+            "--rounds", "300",
+            "--workers", workers,
+            "--out", str(out),
+        ]
+    )
+    assert code == EXIT_OK
+    delivered, digest = MONITOR_GOLDEN[name]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out.startswith(f"{delivered} rounds delivered")
 
 
 # --- exit codes and plumbing ---------------------------------------------------

@@ -1,8 +1,9 @@
-"""Counting engine against the node state machines: exact count equality.
+"""Counting engine against the node state machines: exact equality.
 
-run_scenario counts rounds with the vectorized engine unless the monitor
-log is collected, when the reference engine steps every node.  Both draw
-the same substream words, so every per-hop counter must agree exactly.
+run_scenario counts rounds and builds the monitor log with the vectorized
+engine; the reference engine steps every node.  Both draw the same
+substream words, so every per-hop counter and every monitor row must agree
+exactly.
 """
 
 import math
@@ -51,6 +52,42 @@ def assert_engines_agree(topo, params, rounds, seed, profile=None):
     counted, stepped = engine_counts(topo, params, rounds, seed, profile)
     assert counted == stepped
     return counted
+
+
+def hop_fields(report):
+    """(attempted, delivered, mean frame bytes) of each hop of a report."""
+    return [
+        (h.packets_attempted, h.packets_delivered, h.mean_frame_bytes)
+        for h in report.hops
+    ]
+
+
+def stepped_fields(attempted, delivered, frame_bytes_sum):
+    """hop_fields of the report run_scenario builds from these counters."""
+    return [
+        (a, d, f / a if a else 0.0)
+        for a, d, f in zip(attempted, delivered, frame_bytes_sum)
+    ]
+
+
+def assert_monitor_agrees(topo, params, rounds, seed, profile=None, workers=1):
+    """run_scenario's monitor rows and counts against the reference engine's."""
+    profile = profile if profile is not None else SensorProfile(seed=seed)
+    slot = min_slot_duration(len(topo.nodes))
+    *counts, rows = sim._simulate_rounds(
+        topo, params, seed, 0, rounds, slot, profile, True
+    )
+    report = run_scenario(
+        topo, params, rounds, seed, profile=profile, collect_monitor=True,
+        workers=workers,
+    )
+    assert hop_fields(report) == stepped_fields(*counts)
+    assert report.monitor_rows == tuple(rows)
+    # plain Python values, so the CSV renders them as the reference log
+    for row in report.monitor_rows:
+        assert type(row.round_index) is int and type(row.time_s) is float
+        assert all(type(t) is float for t in row.temperatures_c)
+    return rows
 
 
 # --- differential tests ---------------------------------------------------------
@@ -129,11 +166,13 @@ def test_noiseless_sensor_counts_equal():
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 def test_partitions_counts_equal(workers):
     topo = linear_topology(range(5), turbidity_ntu=70.0)
-    kwargs = dict(profile=SensorProfile(seed=8), workers=workers)
-    counted = run_scenario(topo, ANCHOR, 1001, 8, **kwargs)
-    stepped = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, **kwargs)
-    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=SensorProfile(seed=8))
-    assert counted.hops == stepped.hops == serial.hops
+    profile = SensorProfile(seed=8)
+    counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile, workers=workers)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
+    slot = min_slot_duration(len(topo.nodes))
+    stepped = sim._simulate_rounds(topo, ANCHOR, 8, 0, 1001, slot, profile, False)
+    assert counted.hops == serial.hops
+    assert hop_fields(counted) == stepped_fields(*stepped[:3])
     assert counted.monitor_rows is None
 
 
@@ -148,6 +187,83 @@ def test_partition_from_a_late_round_counts_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     counted, stepped = engine_counts(topo, ANCHOR, 500, 3, first=10**9)
     assert counted == stepped
+
+
+# --- monitor rows ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ntu", [0.01, 70.0])
+def test_anchor_line_monitor_rows_equal(ntu):
+    topo = linear_topology(range(5), turbidity_ntu=ntu)
+    seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
+    rows = assert_monitor_agrees(
+        topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
+    )
+    assert 0 < len(rows) < 1500
+
+
+def test_heterogeneous_config_monitor_rows_equal():
+    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
+    assert_monitor_agrees(
+        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
+    )
+
+
+def test_single_hop_monitor_rows_equal():
+    rows = assert_monitor_agrees(
+        linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
+    )
+    assert 0 < len(rows) < 2000 and len(rows[0].temperatures_c) == 2
+
+
+def test_escaped_node_ids_monitor_rows_equal():
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    assert_monitor_agrees(topo, lossy_params(0.9), 2000, seed=6)
+
+
+def test_long_line_multi_chunk_monitor_rows_equal():
+    topo = linear_topology(range(30), auth_keys=range(1, 31))
+    rows = assert_monitor_agrees(topo, lossy_params(0.995), 400, seed=12)
+    assert 0 < len(rows) < 400
+
+
+def test_ber_underflow_and_zero_signal_monitor_rows_equal():
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    rows = assert_monitor_agrees(linear_topology(range(5)), clean, 300, seed=2)
+    assert [row.round_index for row in rows] == list(range(300))
+
+    dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
+    deep = linear_topology(range(5), link_distance_m=500.0)
+    assert assert_monitor_agrees(deep, dark, 300, seed=2) == []
+
+
+def test_noiseless_sensor_monitor_rows_equal():
+    profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
+    assert_monitor_agrees(
+        linear_topology(range(5)), lossy_params(0.9), 2000, seed=3, profile=profile
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+def test_partitions_monitor_rows_equal(workers):
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_monitor_agrees(topo, ANCHOR, 1001, 8, workers=workers)
+
+
+def test_many_blocks_monitor_rows_equal(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_monitor_agrees(topo, ANCHOR, 1001, 5)
+
+
+def test_partition_from_a_late_round_monitor_rows_equal():
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    profile = SensorProfile(seed=3)
+    slot = min_slot_duration(len(topo.nodes))
+    args = (topo, ANCHOR, 3, 10**9, 10**9 + 500, slot, profile, True)
+    counted = sim._count_rounds(*args)
+    assert counted == sim._simulate_rounds(*args)
+    assert 0 < len(counted[3]) < 500
 
 
 # --- layer parity ---------------------------------------------------------------
@@ -302,3 +418,22 @@ def test_perturbed_engine_trips_the_canary(monkeypatch):
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     with pytest.raises(RuntimeError, match="counting engine"):
         run_scenario(linear_topology(range(5)), ANCHOR, 10, seed=0)
+
+
+@pytest.mark.parametrize("field", ["time_s", "temperatures_c"])
+def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
+    original = sim._monitor_rows
+
+    def perturbed(*args):
+        first, *rest = original(*args)
+        temps = first.temperatures_c
+        shifted = {
+            "time_s": first.time_s + 1e-9,
+            "temperatures_c": temps[:-1] + (temps[-1] + 1e-9,),
+        }
+        return [replace(first, **{field: shifted[field]}), *rest]
+
+    monkeypatch.setattr(sim, "_monitor_rows", perturbed)
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    with pytest.raises(RuntimeError, match="counting engine"):
+        run_scenario(linear_topology(range(5)), clean, 10, seed=0, collect_monitor=True)

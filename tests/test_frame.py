@@ -11,7 +11,6 @@ from uwocnet.frame import (
     BadPayloadLength,
     DuplicateKey,
     Frame,
-    KeyRegistry,
     MalformedEscape,
     RecordOutOfRange,
     SensorRecord,
@@ -279,22 +278,13 @@ def test_append_hop_chain_length_induction():
         assert len(frame.records) == k
 
 
-# --- key registry -------------------------------------------------------------
-
-
-def test_key_registry():
-    reg = KeyRegistry({0: 180, 1: 170, 2: 154})
-    assert reg.key_for(1) == 170
-    assert reg.chain([0, 1, 2]) == (180, 170, 154)
-    with pytest.raises(KeyError):
-        reg.key_for(9)
-    with pytest.raises(ValueError):
-        KeyRegistry({0: 180, 1: 180})
+# --- default keys -------------------------------------------------------------
 
 
 def test_default_key_table():
-    reg = KeyRegistry.default_line([0, 1, 2, 3, 4])
-    assert reg.chain([0, 1, 2, 3, 4]) == DEFAULT_KEY_TABLE
+    # valid, distinct keys for a five-node line
+    assert Frame(DEFAULT_KEY_TABLE).key_chain == DEFAULT_KEY_TABLE
+    assert len(set(DEFAULT_KEY_TABLE)) == 5
     assert DEFAULT_KEY_TABLE[:3] == (180, 170, 154)
 
 
