@@ -83,11 +83,15 @@ def render_psr_csv(reports: list[PsrReport], label: str) -> str:
 
 
 def render_monitor_csv(report: PsrReport, node_ids) -> str:
+    """One line per monitor row, each row holding one temperature per node."""
     header = "round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)
+    # _fmt's spec for every float cell, in one format string per row.
+    line = "{},{:.6g}" + ",{:.6g}" * len(node_ids)
     lines = [header]
-    for row in report.monitor_rows or ():
-        temps = ",".join(_fmt(t) for t in row.temperatures_c)
-        lines.append(f"{row.round_index},{_fmt(row.time_s)},{temps}")
+    lines += [
+        line.format(row.round_index, row.time_s, *row.temperatures_c)
+        for row in report.monitor_rows or ()
+    ]
     return "\n".join(lines) + "\n"
 
 

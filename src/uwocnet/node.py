@@ -103,6 +103,48 @@ def sample_sensor(node_id: int, clock: float, profile: SensorProfile) -> SensorR
     return SensorReading(node_id, temp, clock)
 
 
+def _noise_words(node_ids, clocks: np.ndarray, profile: SensorProfile):
+    """The two uniforms gauss() takes first in sample_sensor's noise streams.
+
+    Returns (u1, u2), arrays of the broadcast shape of node_ids and clocks.
+    They are gauss()'s words only where u1 > 0: otherwise gauss() redraws
+    u1, and the reading must be taken with sample_sensor.
+    """
+    ids = np.asarray(node_ids)
+    ids = int(ids) if ids.ndim == 0 else ids  # scalar words fold in as ints
+    states = derive_states(
+        profile.seed, _SENSOR_STREAM_TAG, ids, clocks.view(np.uint64)
+    )
+    return uniform_at(states, 0), uniform_at(states, 1)
+
+
+def _temperatures(node_ids, clocks: np.ndarray, profile: SensorProfile, sin, log, cos):
+    """sample_sensor's temperatures over arrays, with the given sin, log and cos.
+
+    Every other operation is exactly rounded in numpy as in Python and runs
+    in sample_sensor's and gauss()'s order, so with libm's sin/log/cos the
+    values are the scalar readings bit for bit.  Returns (temperatures,
+    mask of the cells where gauss() redraws u1, left for sample_sensor).
+    """
+    temp = profile.baseline_c + profile.amplitude_c * sin(
+        2.0 * math.pi * clocks / profile.period_s
+    )
+    redo = np.zeros(temp.shape, dtype=bool)
+    if profile.noise_std_c > 0.0:
+        u1, u2 = _noise_words(node_ids, clocks, profile)
+        redo = u1 <= 0.0  # gauss() redraws u1, shifting u2 by one word
+        gauss = np.sqrt(-2.0 * log(np.where(redo, 1.0, u1))) * cos(
+            2.0 * math.pi * u2
+        )
+        temp = temp + profile.noise_std_c * gauss
+    return temp, redo
+
+
+def _libm(f):
+    """The scalar math function f over a 1-d float array, one call per value."""
+    return lambda x: np.fromiter(map(f, x.tolist()), np.float64, len(x))
+
+
 # Distance from a .5 rounding tie inside which sensor_raw recomputes a
 # reading with sample_sensor: numpy's sin/log/cos may differ from libm's by
 # an ulp, which moves (temp + 40) * 256 by far less than this.
@@ -117,21 +159,7 @@ def sensor_raw(node_ids, clocks: np.ndarray, profile: SensorProfile) -> np.ndarr
     the scalar readings exactly; they are not checked against the record
     range, which is the encoder's job.
     """
-    temp = profile.baseline_c + profile.amplitude_c * np.sin(
-        2.0 * math.pi * clocks / profile.period_s
-    )
-    redo = np.zeros(temp.shape, dtype=bool)
-    if profile.noise_std_c > 0.0:
-        states = derive_states(
-            profile.seed, _SENSOR_STREAM_TAG, np.asarray(node_ids), clocks.view(np.uint64)
-        )
-        u1 = uniform_at(states, 0)
-        u2 = uniform_at(states, 1)
-        redo = u1 <= 0.0  # gauss() redraws u1, shifting u2 by one word
-        gauss = np.sqrt(-2.0 * np.log(np.where(redo, 1.0, u1))) * np.cos(
-            2.0 * math.pi * u2
-        )
-        temp = temp + profile.noise_std_c * gauss
+    temp, redo = _temperatures(node_ids, clocks, profile, np.sin, np.log, np.cos)
     x = fr.fixed_point(temp)
     raw = np.rint(x).astype(np.int64)
     redo |= np.abs(x - np.floor(x) - 0.5) < _TIE_MARGIN
@@ -141,6 +169,24 @@ def sensor_raw(node_ids, clocks: np.ndarray, profile: SensorProfile) -> np.ndarr
             reading = sample_sensor(int(ids[i]), float(clocks[i]), profile)
             raw[i] = round(fr.fixed_point(reading.temperature_c))
     return raw
+
+
+def sensor_temperatures(
+    node_id: int, clocks: np.ndarray, profile: SensorProfile
+) -> list[float]:
+    """sample_sensor(node_id, clock, profile).temperature_c for each of clocks.
+
+    clocks is a 1-d float64 array.  The noise words are drawn for the whole
+    array at once and only libm's sin, log and cos run per value, so every
+    value is bit-identical to the scalar reading.
+    """
+    temp, redo = _temperatures(
+        node_id, clocks, profile, _libm(math.sin), _libm(math.log), _libm(math.cos)
+    )
+    temps = temp.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        temps[i] = sample_sensor(node_id, float(clocks[i]), profile).temperature_c
+    return temps
 
 
 # --- events ---------------------------------------------------------------

@@ -15,10 +15,11 @@ same words as the reference engine, so its counts are exact, not
 statistical.  A round reaches the monitor only when every hop drew zero
 flips, so the sink decodes exactly the records that were encoded: its log
 row is the transmitters' readings at wire resolution plus the sink's own
-reading, built per block from the same readings.  The reference engine is
-the differential oracle of the tests and, on every call, a canary: the
-counting engine replays its first round through it and raises RuntimeError
-if the counts or that round's monitor row disagree.
+reading, built per block from the same readings; the sink's noise words
+are drawn per block as well, and only libm's sin/log/cos run per row.  The
+reference engine is the differential oracle of the tests and, on every
+call, a canary: the counting engine replays its first round through it and
+raises RuntimeError if the counts or that round's monitor row disagree.
 
 Rounds are mutually independent: workers=N splits them into N partitions,
 run one after another in this process, and the results are bit-identical
@@ -183,7 +184,7 @@ def transmit_over_link(
     link: LinkSpec,
     params: ChannelParams,
     stream: Substream,
-) -> tuple[bytes, bool, float]:
+) -> tuple[bytes, bool]:
     """Push one frame through one optical link.
 
     Serialization is 8N1, so 10 * len(data) bits cross the water; each
@@ -191,20 +192,19 @@ def transmit_over_link(
     count ~ Binomial, positions uniform - the same joint law).  Start/stop
     bit flips corrupt the packet without changing the returned bytes.
 
-    Returns (received bytes, corrupted flag, received lux).
+    Returns (received bytes, corrupted flag).
     """
-    rx_lux = attenuate(params, link)
-    ber = ook_ber(rx_lux, params)
+    ber = ook_ber(attenuate(params, link), params)
     n_bits = 10 * len(data)
     flips = stream.binomial(n_bits, ber)
     if flips == 0:
-        return bytes(data), False, rx_lux
+        return bytes(data), False
     buf = bytearray(data)
     for pos in stream.distinct_below(n_bits, flips):
         bit = pos % 10
         if 1 <= bit <= 8:  # data bits; 0 is the start bit, 9 the stop bit
             buf[pos // 10] ^= 1 << (bit - 1)  # LSB-first on the wire
-    return bytes(buf), True, rx_lux
+    return bytes(buf), True
 
 
 def scenario_seed(root_seed: int, turbidity_ntu: float) -> int:
@@ -272,7 +272,7 @@ def _simulate_rounds(
             attempted[h] += 1
             frame_bytes_sum[h] += len(data)
             stream = Substream(seed, _LINK_STREAM_TAG, rnd, h)
-            rx_data, corrupted, _ = transmit_over_link(data, links[h], params, stream)
+            rx_data, corrupted = transmit_over_link(data, links[h], params, stream)
             if corrupted:
                 break
             delivered[h] += 1
@@ -365,20 +365,17 @@ def _monitor_rows(
     """The sink's log of the rounds among rnd whose last hop delivered.
 
     The relayed temperatures are the transmitters' readings at wire
-    resolution; the sink appends its own reading unquantized, taken with
-    the scalar sample_sensor so that it matches the state machine's bit for
-    bit.
+    resolution; the sink appends its own reading unquantized.  Its noise
+    words are drawn for the whole block and only libm's sin/log/cos run per
+    row (node.sensor_temperatures), so the reading matches the state
+    machine's scalar sample_sensor bit for bit.
     """
-    sink = topology.node_ids[-1]
     done = np.nonzero(delivered[:, -1])[0]
-    return [
-        MonitorRow(r, t, (*temps, nd.sample_sensor(sink, t, profile).temperature_c))
-        for r, t, temps in zip(
-            rnd[done].tolist(),
-            clocks[done, -1].tolist(),
-            fr.raw_to_temperature(raw[done]).tolist(),
-        )
-    ]
+    times = clocks[done, -1]
+    # One list per column, zipped into the rows' tuples: no per-row list.
+    columns = fr.raw_to_temperature(raw[done]).T.tolist()
+    columns.append(nd.sensor_temperatures(topology.node_ids[-1], times, profile))
+    return list(map(MonitorRow, rnd[done].tolist(), times.tolist(), zip(*columns)))
 
 
 def _zero_flip_threshold(bits: int, ber: float) -> float:

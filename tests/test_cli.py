@@ -10,9 +10,12 @@ from uwocnet.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_USAGE,
+    _fmt,
     main,
+    render_monitor_csv,
 )
 from uwocnet.config import parse_config
+from uwocnet.sim import MonitorRow, PsrReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -378,6 +381,30 @@ def test_monitor_csv_golden(name, workers, tmp_path, capsys):
     delivered, digest = MONITOR_GOLDEN[name]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     assert capsys.readouterr().out.startswith(f"{delivered} rounds delivered")
+
+
+def _monitor_csv_per_cell(report, node_ids):
+    """The monitor CSV rendered one _fmt call per numeric cell."""
+    lines = ["round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)]
+    for row in report.monitor_rows or ():
+        temps = ",".join(_fmt(t) for t in row.temperatures_c)
+        lines.append(f"{row.round_index},{_fmt(row.time_s)},{temps}")
+    return "\n".join(lines) + "\n"
+
+
+def test_monitor_csv_matches_per_cell_rendering():
+    inf, nan = float("inf"), float("nan")
+    cells = [nan, inf, -inf, -0.0, 0.0, 5e-324, 1e-5, 999999.5, 1e16, 20.0, -3.0, 1.5e-7]
+    rows = tuple(
+        MonitorRow(i, cells[i], (cells[-1 - i], cells[(i + 3) % 12], 19.99609375))
+        for i in range(len(cells))
+    )
+    ids = (0, 0x7D, 254)
+    for monitor_rows in (rows, (), None):
+        report = PsrReport(70.0, 12, 1, [], monitor_rows)
+        expected = _monitor_csv_per_cell(report, ids)
+        assert render_monitor_csv(report, ids) == expected
+    assert expected == "round,time_s,temp_0,temp_125,temp_254\n"
 
 
 # --- exit codes and plumbing ---------------------------------------------------

@@ -7,6 +7,7 @@ exactly.
 """
 
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -334,6 +335,76 @@ def test_readings_near_a_tie_are_recomputed_by_sample_sensor(monkeypatch):
     assert len(calls) == 2
     sensor_raw(0, np.array([1.0, 2.0]), clear)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        SensorProfile(seed=5),
+        SensorProfile(seed=5, noise_std_c=0.0),
+        # noise well above the baseline, so an ulp of log or cos shows
+        SensorProfile(
+            seed=9, baseline_c=0.0, amplitude_c=-2.5, period_s=7.0, noise_std_c=40.0
+        ),
+    ],
+    ids=["default", "noiseless", "negative-amplitude"],
+)
+def test_sensor_temperatures_equal_sample_sensor(profile):
+    slot = min_slot_duration(5)
+    clocks = np.concatenate(
+        [
+            [0.0],
+            np.arange(1700) * 0.0396 + 0.01,
+            # the sink's clocks in rounds 10**9 onwards of the 4-hop line
+            ((10**9 + np.arange(1700)) * (4 * slot) + 3 * slot) + slot,
+        ]
+    )
+    for node_id in (0x00, 0x7D, 254):
+        temps = nd.sensor_temperatures(node_id, clocks, profile)
+        assert all(type(t) is float for t in temps)
+        assert temps == [
+            sample_sensor(node_id, t, profile).temperature_c for t in clocks.tolist()
+        ]
+
+
+def test_u1_redraw_falls_back_to_sample_sensor(monkeypatch):
+    # gauss() redraws a zero u1, which shifts u2 by one word; both block
+    # functions take that cell's reading with the scalar sample_sensor.
+    original = nd._noise_words
+
+    def forced(node_ids, clocks, profile):
+        u1, u2 = original(node_ids, clocks, profile)
+        u1 = u1.copy()
+        u1[3] = 0.0
+        return u1, u2
+
+    monkeypatch.setattr(nd, "_noise_words", forced)
+    profile = SensorProfile(seed=5, noise_std_c=2.0)
+    clocks = np.arange(8) * 0.25
+    expected = [sample_sensor(7, t, profile).temperature_c for t in clocks.tolist()]
+    assert nd.sensor_temperatures(7, clocks, profile) == expected
+    assert sensor_raw(7, clocks, profile).tolist() == [
+        round(fr.fixed_point(t)) for t in expected
+    ]
+
+
+def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
+    # The sink's readings are drawn per block: sample_sensor runs only for
+    # the canary round's state machine and for sensor_raw's tie cells.
+    callers = []
+    original = nd.sample_sensor
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(nd, "sample_sensor", counting)
+    topo = linear_topology(range(5), turbidity_ntu=0.01)
+    report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
+    assert len(report.monitor_rows) > 1800
+    assert set(callers) <= {"_own_record", "sensor_raw"}
+    assert callers.count("_own_record") <= len(topo.nodes)
+    assert len(callers) < 20
 
 
 # --- RecordOutOfRange parity ------------------------------------------------------
