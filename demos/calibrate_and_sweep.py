@@ -57,4 +57,4 @@ print(f"{'hop':>4} {'attempted':>10} {'delivered':>10} "
 for hop in last.hops:
     print(f"{hop.hop_index:>4} {hop.packets_attempted:>10} "
           f"{hop.packets_delivered:>10} {hop.per_hop_psr:>8.4f} "
-          f"{hop.cumulative_psr:>11.4f} {hop.mean_rx_lux:>8.3f}")
+          f"{hop.cumulative_psr:>11.4f} {hop.rx_lux:>8.3f}")

@@ -378,42 +378,35 @@ def fit_link_loss_overrides(
     their common BER is met by rescaling noise_sigma (extra_loss is capped
     at 1, so a first hop *worse* than the rest can only be expressed by
     making the other hops cleaner).  Link 1 then gets extra_loss < 1.
+
+    The fit is closed form, as in calibrate: hops 2..H share one distance,
+    hence one BER, and must pass final_psr / first_hop_psr of the frames
+    that reach hop 2; inverting gives that BER, q_inverse the required
+    x = rx / (2 sigma), and so sigma.  Raises ValueError if hops 2..H differ
+    in distance or the anchors need a BER of 0.5 or more.
     """
     distances = tuple(distances)
     hops = len(distances)
     if hops < 2:
         raise ValueError("need at least two hops to shape a profile")
+    if len(set(distances[1:])) != 1:
+        raise ValueError("hops 2..H must share one distance")
     if not 0.0 < final_psr < first_hop_psr < 1.0:
         raise ValueError("need 0 < final_psr < first_hop_psr < 1")
     ids = tuple(node_ids) if node_ids is not None else tuple(range(hops))
-    lengths = hop_frame_lengths(ids)
+    if len(ids) < hops:
+        raise ValueError(f"need {hops} transmitting node ids, got {len(ids)}")
+    lengths = hop_frame_lengths(ids[:hops])
 
-    ber_first = _ber_for_success(first_hop_psr, lengths[0])
-    ratio = final_psr / first_hop_psr
-
-    def tail_product(sigma: float) -> float:
-        p = replace(params, noise_sigma=sigma)
-        acc = 1.0
-        for j in range(1, hops):
-            ber = link_ber(p, LinkSpec(distances[j], turbidity_ntu))
-            acc *= packet_success(ber, lengths[j])
-        return acc
-
-    # tail_product is monotone decreasing in sigma; bisect on log sigma.
-    lo, hi = math.log(1e-6), math.log(1e4)
-    if not tail_product(math.exp(lo)) >= ratio >= tail_product(math.exp(hi)):
+    ber_tail = _ber_for_success(final_psr / first_hop_psr, sum(lengths[1:]))
+    x = q_inverse(ber_tail)
+    if x <= 0:
         raise ValueError("hop profile targets unreachable for these parameters")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail_product(math.exp(mid)) >= ratio:
-            lo = mid
-        else:
-            hi = mid
-    sigma = math.exp(0.5 * (lo + hi))
+    sigma = attenuate(params, LinkSpec(distances[1], turbidity_ntu)) / (2.0 * x)
 
     adjusted = replace(params, noise_sigma=sigma)
     rx_clean = attenuate(adjusted, LinkSpec(distances[0], turbidity_ntu))
-    rx_needed = 2.0 * sigma * q_inverse(ber_first)
+    rx_needed = 2.0 * sigma * q_inverse(_ber_for_success(first_hop_psr, lengths[0]))
     loss0 = rx_needed / rx_clean
     if not 0.0 < loss0 <= 1.0:
         raise ValueError(

@@ -26,6 +26,7 @@ from .config import (
     emit_config,
     parse_config,
 )
+from .frame import RecordOutOfRange
 from .sim import PsrReport, run_scenario, scenario_seed, sweep
 
 EXIT_OK = 0
@@ -75,7 +76,7 @@ def render_psr_csv(reports: list[PsrReport], label: str) -> str:
                         str(hop.packets_delivered),
                         _fmt(hop.per_hop_psr),
                         _fmt(hop.cumulative_psr),
-                        _fmt(hop.mean_rx_lux),
+                        _fmt(hop.rx_lux),
                     )
                 )
             )
@@ -127,9 +128,6 @@ def _parse_turbidities(args, default=None) -> list[float]:
         raise UsageError(f"bad --turbidity list: {args.turbidity!r}") from None
     if not values:
         raise UsageError("--turbidity list is empty")
-    for v in values:
-        if v < 0:
-            raise UsageError("turbidity must be >= 0 NTU")
     return values
 
 
@@ -195,17 +193,20 @@ def cmd_sweep(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     turbidities = _parse_turbidities(args)
     label = args.label or Path(args.config).stem
-    reports = sweep(
-        config.topology(),
-        config.channel,
-        turbidities,
-        config.rounds,
-        config.seed,
-        slot_duration=config.slot_duration(),
-        bit_rate=config.bit_rate,
-        profile=config.sensor,
-        workers=args.workers,
-    )
+    try:
+        reports = sweep(
+            config.topology(),
+            config.channel,
+            turbidities,
+            config.rounds,
+            config.seed,
+            slot_duration=config.slot_duration(),
+            bit_rate=config.bit_rate,
+            profile=config.sensor,
+            workers=args.workers,
+        )
+    except ValueError as exc:  # a --turbidity or --workers value the run rejects
+        raise UsageError(str(exc)) from None
     csv_text = render_psr_csv(reports, label)
     out = Path(config.output_path)
     try:
@@ -228,17 +229,20 @@ def cmd_sweep(args) -> int:
 def cmd_monitor(args) -> int:
     config = _apply_overrides(_load_config(args.config), args)
     turbidity = _parse_turbidities(args, default=[0.01])[0]
-    report = run_scenario(
-        config.topology(turbidity),
-        config.channel,
-        config.rounds,
-        scenario_seed(config.seed, turbidity),
-        slot_duration=config.slot_duration(),
-        bit_rate=config.bit_rate,
-        profile=config.sensor,
-        collect_monitor=True,
-        workers=args.workers,
-    )
+    try:
+        report = run_scenario(
+            config.topology(turbidity),
+            config.channel,
+            config.rounds,
+            scenario_seed(config.seed, turbidity),
+            slot_duration=config.slot_duration(),
+            bit_rate=config.bit_rate,
+            profile=config.sensor,
+            collect_monitor=True,
+            workers=args.workers,
+        )
+    except ValueError as exc:  # a --turbidity or --workers value the run rejects
+        raise UsageError(str(exc)) from None
     text = render_monitor_csv(report, config.node_ids)
     out = Path(config.output_path)
     try:
@@ -325,6 +329,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CalibrationDiverged as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except RecordOutOfRange as exc:
+        print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelParams
-from .node import SensorProfile, min_slot_duration
+from .node import DEFAULT_BIT_RATE, SensorProfile, min_slot_duration, schedule
 from .sim import Topology, linear_topology
 
 
@@ -31,9 +31,7 @@ class ValidationError(Exception):
         self.constraint = constraint
 
 
-DEFAULT_BIT_RATE = 9600.0
 DEFAULT_ROUNDS = 1000
-DEFAULT_LINK_DISTANCE_M = 4.0
 
 
 @dataclass
@@ -67,26 +65,24 @@ class ScenarioConfig:
         return min_slot_duration(len(self.node_ids), self.bit_rate)
 
 
+# One channel.* and one sensor.* key per dataclass field, in file order; the
+# sensor's seed is the top-level `seed` key.
+_CHANNEL_FIELDS = fields(ChannelParams)
+_SENSOR_FIELDS = tuple(f for f in fields(SensorProfile) if f.name != "seed")
+
 _KNOWN_KEYS = frozenset(
-    {
+    (
         "topology.nodes",
         "topology.link_distances",
         "topology.extra_loss",
-        "channel.source_lux",
-        "channel.clear_water_attenuation",
-        "channel.turbidity_slope",
-        "channel.ambient_lux",
-        "channel.noise_sigma",
         "channel.bit_rate",
         "traffic.rounds",
         "traffic.slot_duration",
-        "sensor.baseline_c",
-        "sensor.amplitude_c",
-        "sensor.period_s",
-        "sensor.noise_std_c",
         "seed",
         "output.path",
-    }
+    )
+    + tuple(f"channel.{f.name}" for f in _CHANNEL_FIELDS)
+    + tuple(f"sensor.{f.name}" for f in _SENSOR_FIELDS)
 )
 
 
@@ -94,8 +90,16 @@ def _split_list(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
+def _checked(key: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported as key's ValidationError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(key, str(exc)) from None
+
+
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and fully validate a scenario config."""
+    """Parse a scenario config; each value is checked by the type that owns it."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -126,6 +130,16 @@ def parse_config(text: str) -> ScenarioConfig:
                 lines[key], f"{key}: cannot parse {raw[key]!r} as {convert.__name__}"
             ) from None
 
+    def numbers(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+        if key not in raw:
+            return default
+        try:
+            return tuple(float(v) for v in _split_list(raw[key]))
+        except ValueError:
+            raise ParseError(
+                lines[key], f"{key}: cannot parse {raw[key]!r} as numbers"
+            ) from None
+
     if "topology.nodes" not in raw:
         raise ValidationError("topology.nodes", "required")
     node_ids: list[int] = []
@@ -144,94 +158,47 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ParseError(
                 lines["topology.nodes"], f"bad node entry {part!r}"
             ) from None
-    if len(node_ids) < 2:
-        raise ValidationError("topology.nodes", "need at least 2 nodes")
-    if len(set(node_ids)) != len(node_ids):
-        raise ValidationError("topology.nodes", "node ids must be distinct")
-    if len(set(auth_keys)) != len(auth_keys):
-        raise ValidationError("topology.nodes", "auth keys must be distinct")
-    for nid in node_ids:
-        if not 0 <= nid <= 254:
-            raise ValidationError("topology.nodes", f"node id {nid} not in [0, 254]")
-    for key in auth_keys:
-        if not 1 <= key <= 254:
-            raise ValidationError("topology.nodes", f"auth key {key} not in [1, 254]")
+    # The line is built once per key, so its error names the key at fault;
+    # the defaults are linear_topology's.
+    nodes = (node_ids, auth_keys)
+    topo = _checked("topology.nodes", linear_topology, *nodes)
+    default = tuple(link.distance_m for link in topo.links)
+    distances = numbers("topology.link_distances", default)
+    topo = _checked("topology.link_distances", linear_topology, *nodes, distances)
+    default = tuple(link.extra_loss for link in topo.links)
+    losses = numbers("topology.extra_loss", default)
+    _checked("topology.extra_loss", linear_topology, *nodes, distances, 0.0, losses)
 
-    hop_count = len(node_ids) - 1
-    if "topology.link_distances" in raw:
-        try:
-            distances = tuple(
-                float(v) for v in _split_list(raw["topology.link_distances"])
-            )
-        except ValueError:
-            raise ParseError(
-                lines["topology.link_distances"], "distances must be numbers"
-            ) from None
-    else:
-        distances = (DEFAULT_LINK_DISTANCE_M,) * hop_count
-    if len(distances) != hop_count:
-        raise ValidationError(
-            "topology.link_distances",
-            f"need {hop_count} distances for {len(node_ids)} nodes",
-        )
-    for d in distances:
-        if d <= 0:
-            raise ValidationError("topology.link_distances", "must be > 0")
-
-    if "topology.extra_loss" in raw:
-        try:
-            losses = tuple(float(v) for v in _split_list(raw["topology.extra_loss"]))
-        except ValueError:
-            raise ParseError(
-                lines["topology.extra_loss"], "extra_loss must be numbers"
-            ) from None
-    else:
-        losses = (1.0,) * hop_count
-    if len(losses) != hop_count:
-        raise ValidationError(
-            "topology.extra_loss", f"need {hop_count} values for {hop_count} links"
-        )
-    for loss in losses:
-        if not 0 < loss <= 1:
-            raise ValidationError("topology.extra_loss", "must be in (0, 1]")
-
-    try:
-        channel = ChannelParams(
-            **{
-                f.name: scalar(f"channel.{f.name}", float, f.default)
-                for f in fields(ChannelParams)
-            }
-        )
-    except ValueError as exc:
-        raise ValidationError("channel", str(exc)) from None
-
+    channel = _checked(
+        "channel",
+        ChannelParams,
+        **{
+            f.name: scalar(f"channel.{f.name}", float, f.default)
+            for f in _CHANNEL_FIELDS
+        },
+    )
     bit_rate = scalar("channel.bit_rate", float, DEFAULT_BIT_RATE)
-    if bit_rate <= 0:
-        raise ValidationError("channel.bit_rate", "must be > 0")
+    _checked("channel.bit_rate", min_slot_duration, len(node_ids), bit_rate)
 
     rounds = scalar("traffic.rounds", int, DEFAULT_ROUNDS)
     if rounds < 1:
         raise ValidationError("traffic.rounds", "must be >= 1")
 
-    slot: float | None
-    if "traffic.slot_duration" in raw and raw["traffic.slot_duration"] != "auto":
+    slot: float | None = None
+    if raw.get("traffic.slot_duration", "auto") != "auto":
         slot = scalar("traffic.slot_duration", float, None)
-        if slot is not None and slot <= 0:
-            raise ValidationError("traffic.slot_duration", "must be > 0 or 'auto'")
-    else:
-        slot = None
+        _checked("traffic.slot_duration", schedule, node_ids, slot, 0, bit_rate)
 
     seed = scalar("seed", int, 0)
-    try:
-        sensor = SensorProfile(
-            baseline_c=scalar("sensor.baseline_c", float, 20.0),
-            amplitude_c=scalar("sensor.amplitude_c", float, 1.5),
-            period_s=scalar("sensor.period_s", float, 3600.0),
-            noise_std_c=scalar("sensor.noise_std_c", float, 0.05),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ValidationError("sensor", str(exc)) from None
+    sensor = _checked(
+        "sensor",
+        SensorProfile,
+        seed=seed,
+        **{
+            f.name: scalar(f"sensor.{f.name}", float, f.default)
+            for f in _SENSOR_FIELDS
+        },
+    )
 
     return ScenarioConfig(
         node_ids=tuple(node_ids),
@@ -248,6 +215,10 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
+def _field_lines(section: str, section_fields, values) -> list[str]:
+    return [f"{section}.{f.name} = {getattr(values, f.name)!r}" for f in section_fields]
+
+
 def emit_config(config: ScenarioConfig) -> str:
     """Serialize a config canonically; parse(emit(parse(t))) == parse(t)."""
     nodes = ", ".join(
@@ -258,18 +229,11 @@ def emit_config(config: ScenarioConfig) -> str:
         f"topology.nodes = {nodes}",
         f"topology.link_distances = {', '.join(repr(d) for d in config.link_distances_m)}",
         f"topology.extra_loss = {', '.join(repr(x) for x in config.extra_loss)}",
-        f"channel.source_lux = {config.channel.source_lux!r}",
-        f"channel.clear_water_attenuation = {config.channel.clear_water_attenuation!r}",
-        f"channel.turbidity_slope = {config.channel.turbidity_slope!r}",
-        f"channel.ambient_lux = {config.channel.ambient_lux!r}",
-        f"channel.noise_sigma = {config.channel.noise_sigma!r}",
+        *_field_lines("channel", _CHANNEL_FIELDS, config.channel),
         f"channel.bit_rate = {config.bit_rate!r}",
         f"traffic.rounds = {config.rounds}",
         f"traffic.slot_duration = {slot}",
-        f"sensor.baseline_c = {config.sensor.baseline_c!r}",
-        f"sensor.amplitude_c = {config.sensor.amplitude_c!r}",
-        f"sensor.period_s = {config.sensor.period_s!r}",
-        f"sensor.noise_std_c = {config.sensor.noise_std_c!r}",
+        *_field_lines("sensor", _SENSOR_FIELDS, config.sensor),
         f"seed = {config.seed}",
         f"output.path = {config.output_path}",
     ]

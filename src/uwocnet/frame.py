@@ -99,6 +99,13 @@ def validate_auth_key(value: int) -> int:
     return value
 
 
+def validate_node_id(value: int) -> int:
+    """Check a node id fits the record's one id byte, [0, 254]."""
+    if not isinstance(value, int) or not 0 <= value <= 254:
+        raise ValueError(f"node id must be an integer in [0, 254], got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
     """One node's contribution to the payload: who measured what."""
@@ -107,8 +114,7 @@ class SensorRecord:
     temperature_c: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.node_id <= 254:
-            raise ValueError(f"node_id must be in [0, 254], got {self.node_id}")
+        validate_node_id(self.node_id)
 
 
 def fixed_point(temperature_c):
@@ -123,12 +129,14 @@ def raw_in_range(raw):
 
 def temperature_to_raw(temperature_c: float) -> int:
     """Quantize degC to the 16-bit fixed-point wire value."""
-    raw = round(fixed_point(temperature_c))
-    if not 0 <= raw <= _RAW_MAX:
+    x = fixed_point(temperature_c)
+    # round() is half-to-even, so this is round(x) in [0, _RAW_MAX]; it also
+    # rejects nan and the infinities, which round() cannot take.
+    if not -0.5 <= x <= _RAW_MAX + 0.5:
         raise RecordOutOfRange(
             f"temperature {temperature_c} degC outside [-40, 85] fixed-point range"
         )
-    return raw
+    return round(x)
 
 
 def raw_to_temperature(raw: int) -> float:

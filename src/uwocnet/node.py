@@ -27,6 +27,7 @@ from . import frame as fr
 from .rng import Substream, derive_states, uniform_at
 
 _SENSOR_STREAM_TAG = 0x5E_45_0001
+DEFAULT_BIT_RATE = 9600.0
 
 
 class NodeRole(Enum):
@@ -78,6 +79,9 @@ class SensorProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        values = (self.baseline_c, self.amplitude_c, self.period_s, self.noise_std_c)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("sensor profile values must be finite")
         if self.period_s <= 0:
             raise ValueError("period_s must be > 0")
         if self.noise_std_c < 0:
@@ -364,7 +368,7 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
 # --- slot schedule ----------------------------------------------------------
 
 
-class SlotTooShort(Exception):
+class SlotTooShort(ValueError):
     pass
 
 
@@ -380,7 +384,7 @@ def schedule(
     node_ids,
     slot_duration: float,
     round_index: int,
-    bit_rate: float = 9600.0,
+    bit_rate: float = DEFAULT_BIT_RATE,
 ) -> list[Slot]:
     """Pipeline TDMA schedule for one end-to-end round over a line.
 
@@ -396,10 +400,9 @@ def schedule(
     ids = tuple(node_ids)
     if len(ids) < 2:
         raise ValueError("a schedule needs at least two nodes")
-    if slot_duration <= 0:
-        raise ValueError("slot_duration must be > 0")
-    worst_bits = 10 * fr.worst_case_frame_length(len(ids))
-    needed = worst_bits / bit_rate
+    if not (math.isfinite(slot_duration) and slot_duration > 0):
+        raise ValueError("slot_duration must be finite and > 0")
+    needed = min_slot_duration(len(ids), bit_rate)
     if needed > slot_duration:
         raise SlotTooShort(
             f"largest frame needs {needed:.6g} s at {bit_rate:g} bit/s, "
@@ -416,6 +419,8 @@ def schedule(
     return slots
 
 
-def min_slot_duration(node_count: int, bit_rate: float = 9600.0) -> float:
+def min_slot_duration(node_count: int, bit_rate: float = DEFAULT_BIT_RATE) -> float:
     """Smallest slot that passes the schedule() worst-case frame check."""
+    if not (math.isfinite(bit_rate) and bit_rate > 0):
+        raise ValueError("bit_rate must be finite and > 0")
     return 10 * fr.worst_case_frame_length(node_count) / bit_rate

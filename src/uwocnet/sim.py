@@ -77,10 +77,11 @@ class Topology:
             raise ValueError("first node must originate, last node must be the sink")
         if any(r is not nd.NodeRole.RELAY for r in roles[1:-1]):
             raise ValueError("interior nodes must be relays")
+        for n in self.nodes:
+            fr.validate_node_id(n.node_id)
+            fr.validate_auth_key(n.auth_key)
         ids = [n.node_id for n in self.nodes]
         keys = [n.auth_key for n in self.nodes]
-        if not all(0 <= i <= 254 for i in ids):
-            raise ValueError("node ids must be in [0, 254]")
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be distinct")
         if len(set(keys)) != len(keys):
@@ -116,7 +117,7 @@ def linear_topology(
     distance per link.
     """
     ids = tuple(node_ids)
-    hops = len(ids) - 1
+    hops = max(len(ids) - 1, 0)  # no nodes: Topology's node count check reports it
     keys = tuple(auth_keys) if auth_keys is not None else fr.DEFAULT_KEY_TABLE[: len(ids)]
     if len(keys) != len(ids):
         raise ValueError("need one auth key per node")
@@ -155,7 +156,7 @@ class HopStats:
     packets_delivered: int
     per_hop_psr: float  # conditional on intact arrival at the transmitter
     cumulative_psr: float  # fraction of originated packets intact after this hop
-    mean_rx_lux: float
+    rx_lux: float  # received intensity over the link
     mean_frame_bytes: float
 
 
@@ -444,7 +445,7 @@ def run_scenario(
     seed: int,
     *,
     slot_duration: float | None = None,
-    bit_rate: float = 9600.0,
+    bit_rate: float = nd.DEFAULT_BIT_RATE,
     profile: nd.SensorProfile | None = None,
     collect_monitor: bool = False,
     workers: int = 1,
@@ -461,6 +462,8 @@ def run_scenario(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     if slot_duration is None:
         slot_duration = nd.min_slot_duration(len(topology.nodes), bit_rate)
@@ -469,8 +472,7 @@ def run_scenario(
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
 
     hops = topology.hop_count
-    parts = max(1, workers)
-    bounds = [rounds * i // parts for i in range(parts + 1)]
+    bounds = [rounds * i // workers for i in range(workers + 1)]
     attempted = [0] * hops
     delivered = [0] * hops
     frame_sum = [0] * hops
@@ -498,7 +500,7 @@ def run_scenario(
                 packets_delivered=delivered[h],
                 per_hop_psr=delivered[h] / attempted[h] if attempted[h] else 0.0,
                 cumulative_psr=delivered[h] / rounds,
-                mean_rx_lux=lux,
+                rx_lux=lux,
                 mean_frame_bytes=frame_sum[h] / attempted[h] if attempted[h] else 0.0,
             )
         )

@@ -362,6 +362,19 @@ def test_fit_link_loss_overrides_rejects_impossible_profile():
         fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.89, 0.91)
 
 
+def test_fit_link_loss_overrides_input_validation():
+    params = calibrate(PAPER_TARGETS)
+    # hops 2..H share one BER only when they share one distance
+    with pytest.raises(ValueError, match="share one distance"):
+        fit_link_loss_overrides(params, [4.0, 4.0, 5.0, 4.0], 70.0, 0.91, 0.89)
+    # one transmitting node id per hop; ids beyond the last hop are unused
+    with pytest.raises(ValueError, match="node ids"):
+        fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.91, 0.89, node_ids=[0, 1])
+    assert fit_link_loss_overrides(
+        params, [4.0] * 4, 70.0, 0.91, 0.89, node_ids=range(6)
+    ) == fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.91, 0.89)
+
+
 def test_attenuation_coefficient_linear_in_turbidity():
     p = params_with(clear_water_attenuation=0.1, turbidity_slope=0.002)
     assert p.attenuation_at(0.0) == pytest.approx(0.1)

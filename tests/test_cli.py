@@ -447,3 +447,44 @@ def test_bad_turbidity_list(base_cfg):
     assert main(
         ["sweep", "--config", str(base_cfg), "--turbidity", "-5"]
     ) == EXIT_USAGE
+    for value in ("nan", "inf"):
+        assert main(
+            ["sweep", "--config", str(base_cfg), "--turbidity", value]
+        ) == EXIT_USAGE
+
+
+THREE_NODES = "topology.nodes = 0:180, 1:170, 2:154\ntraffic.rounds = 50\n"
+SWEEP = ["sweep", "--turbidity", "1"]
+HOT_SENSOR = "sensor.baseline_c = 84.99\nsensor.noise_std_c = 1.0"
+
+
+@pytest.mark.parametrize(
+    "config_lines, argv, code, prefix",
+    [
+        ("topology.link_distances = nan, 4", SWEEP, EXIT_USAGE, "config error:"),
+        ("channel.bit_rate = nan", SWEEP, EXIT_USAGE, "config error:"),
+        ("traffic.slot_duration = nan", SWEEP, EXIT_USAGE, "config error:"),
+        ("traffic.slot_duration = 0.0001", SWEEP, EXIT_USAGE, "config error:"),
+        ("sensor.period_s = nan", SWEEP, EXIT_USAGE, "config error:"),
+        ("sensor.baseline_c = inf", SWEEP, EXIT_USAGE, "config error:"),
+        ("sensor.noise_std_c = nan", SWEEP, EXIT_USAGE, "config error:"),
+        ("", ["sweep", "--turbidity", "nan"], EXIT_USAGE, "error:"),
+        ("", ["sweep", "--turbidity", "inf"], EXIT_USAGE, "error:"),
+        ("", ["monitor", "--turbidity", "nan"], EXIT_USAGE, "error:"),
+        ("", SWEEP + ["--workers", "0"], EXIT_USAGE, "error: workers"),
+        ("", ["monitor", "--workers", "0"], EXIT_USAGE, "error: workers"),
+        # readings above 85 degC cannot be encoded: a simulation failure
+        (HOT_SENSOR, SWEEP, EXIT_FAILURE, "simulation failed: temperature"),
+        (HOT_SENSOR, ["monitor"], EXIT_FAILURE, "simulation failed: temperature"),
+    ],
+)
+def test_bad_input_exits_with_one_error_line(
+    config_lines, argv, code, prefix, tmp_path, capsys
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(THREE_NODES + config_lines + "\n")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert not out.exists()

@@ -77,11 +77,43 @@ def test_comments_and_blank_lines_ignored():
         ("traffic.rounds = 0", "traffic.rounds"),
         ("channel.bit_rate = -9600", "channel.bit_rate"),
         ("traffic.slot_duration = -1", "traffic.slot_duration"),
+        # shorter than the worst-case frame at 9600 bit/s
+        ("traffic.slot_duration = 0.0001", "traffic.slot_duration"),
     ],
 )
 def test_semantic_violations(line, field):
     with pytest.raises(ValidationError) as exc:
         parse_config(MINIMAL + line + "\n")
+    assert exc.value.field == field
+
+
+FLOAT_KEYS = [
+    "topology.link_distances",
+    "topology.extra_loss",
+    "channel.source_lux",
+    "channel.clear_water_attenuation",
+    "channel.turbidity_slope",
+    "channel.ambient_lux",
+    "channel.noise_sigma",
+    "channel.bit_rate",
+    "traffic.slot_duration",
+    "sensor.baseline_c",
+    "sensor.amplitude_c",
+    "sensor.period_s",
+    "sensor.noise_std_c",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_values_rejected(key, value):
+    section, name = key.split(".")
+    # channel.* and sensor.* values other than the bit rate are checked by
+    # ChannelParams and SensorProfile, and reported under their section
+    field = key if section in ("topology", "traffic") or name == "bit_rate" else section
+    values = ", ".join([value] * 4) if section == "topology" else value
+    with pytest.raises(ValidationError) as exc:
+        parse_config(f"{MINIMAL}{key} = {values}\n")
     assert exc.value.field == field
 
 

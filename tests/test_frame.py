@@ -1,5 +1,6 @@
 """Frame codec: escaping, encode/decode, authentication, key accumulation."""
 
+import math
 import random
 
 import pytest
@@ -124,6 +125,9 @@ def test_temperature_fixed_point_bounds():
         temperature_to_raw(85.01)
     with pytest.raises(RecordOutOfRange):
         temperature_to_raw(-40.01)
+    for bad in (math.nan, math.inf, -math.inf, 1e308):
+        with pytest.raises(RecordOutOfRange):
+            temperature_to_raw(bad)
 
 
 def test_temperature_roundtrip_within_resolution():

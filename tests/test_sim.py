@@ -76,6 +76,12 @@ def test_topology_validation():
     )
     with pytest.raises(ValueError):
         Topology(nodes, (LinkSpec(4.0),))
+    reserved_key = (
+        NodeSpec(0, 0, NodeRole.ORIGINATOR),  # key 0x00 collides with framing
+        NodeSpec(1, 170, NodeRole.SINK),
+    )
+    with pytest.raises(ValueError):
+        Topology(reserved_key, (LinkSpec(4.0),))
 
 
 # --- transmit_over_link ------------------------------------------------------------
@@ -221,6 +227,9 @@ def test_run_scenario_parallel_plans_identical():
 def test_run_scenario_validation():
     with pytest.raises(ValueError):
         run_scenario(linear_topology(range(3)), CLEAN, 0, seed=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, workers=workers)
 
 
 def test_monitor_sampled_only_when_requested():
