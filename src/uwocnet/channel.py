@@ -176,12 +176,14 @@ class CalibrationTarget:
     target_psr: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.turbidity_ntu) and self.turbidity_ntu >= 0):
+            raise ValueError("turbidity_ntu must be finite and >= 0")
+        if not (math.isfinite(self.total_distance_m) and self.total_distance_m > 0):
+            raise ValueError("total_distance_m must be finite and > 0")
         if self.hop_count < 1:
             raise ValueError("hop_count must be >= 1")
         if not 0.0 < self.target_psr < 1.0:
             raise ValueError("target_psr must be in (0, 1)")
-        if self.total_distance_m <= 0:
-            raise ValueError("total_distance_m must be > 0")
 
 
 class CalibrationDiverged(Exception):
@@ -298,8 +300,11 @@ def calibrate(
     clear_water_attenuation=X` on the command line, to hold another
     value); if they still are not, ValueError names them.  Raises
     CalibrationDiverged if any per-target PSR residual exceeds
-    `tolerance`, as for targets that need a negative coefficient.
+    `tolerance`, as for targets that need a negative coefficient, and
+    ValueError unless `tolerance` is finite and >= 0.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     targets = tuple(
         t if isinstance(t, CalibrationTarget) else CalibrationTarget(*t)
         for t in targets

@@ -27,12 +27,15 @@ key chain (static in a fixed linear topology) and the end byte delimits
 the payload.
 
 All functions are pure and operate on immutable values; they are safe to
-call concurrently.
+call concurrently.  record_length looks each byte's escape cost up in a
+256-entry numpy table that is read-only, so no caller can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 HEADER_BYTE = 0xFF
 SYNC_BYTE = 0x50
@@ -40,6 +43,10 @@ END_BYTE = 0x00
 ESCAPE_BYTE = 0x7D
 ESCAPE_XOR = 0x20
 _ESCAPED = frozenset((0x00, 0xFF, ESCAPE_BYTE))
+# _ESCAPE_COST[b]: the extra bytes that escaping payload byte b costs.
+_ESCAPE_COST = np.zeros(256, dtype=np.int64)
+_ESCAPE_COST[list(_ESCAPED)] = 1
+_ESCAPE_COST.flags.writeable = False
 
 KEY_MIN = 0x01
 KEY_MAX = 0xFE
@@ -165,18 +172,16 @@ class Frame:
             validate_auth_key(key)
 
 
-def _escaped(b):
-    """1 where byte b needs escaping, else 0; elementwise on numpy arrays."""
-    return sum((b == e) * 1 for e in _ESCAPED)
-
-
-def record_length(node_id: int, raw):
+def record_length(node_id, raw):
     """Encoded bytes of one in-range record, escapes included.
 
-    raw may be a numpy array of fixed-point values (one per record).
+    raw may be a numpy array of fixed-point values (one per record), and
+    node_id an integer array that broadcasts against it (one id per
+    column).  Out-of-range raw values give a length too, never an error:
+    rejecting them is the encoder's job.
     """
-    hi, lo = raw >> 8, raw & 0xFF
-    return _BYTES_PER_RECORD + _escaped(node_id) + _escaped(hi) + _escaped(lo)
+    cost = _ESCAPE_COST
+    return _BYTES_PER_RECORD + cost[node_id] + cost[(raw >> 8) & 0xFF] + cost[raw & 0xFF]
 
 
 def escape_payload(raw: bytes | bytearray) -> bytes:

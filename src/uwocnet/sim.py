@@ -308,10 +308,8 @@ def _readings(
     t0 = rnd * (hops * slot_duration)
     # The originator reads at its tx slot start, a relay or the sink at the
     # end of its rx slot, each time summed as the state machine sums it.
-    clocks = np.empty((len(rnd), hops + 1))
-    clocks[:, 0] = t0 + 0 * slot_duration
-    for j in range(1, hops + 1):
-        clocks[:, j] = (t0 + (j - 1) * slot_duration) + slot_duration
+    starts = t0[:, None] + np.arange(hops) * slot_duration
+    clocks = np.column_stack((starts[:, 0], starts + slot_duration))
     ids = np.array(topology.node_ids[:-1])
     return clocks, nd.sensor_raw(ids, clocks[:, :-1], profile)
 
@@ -330,26 +328,27 @@ def _block_outcomes(
     an array of shape (rounds, hops).
     """
     hops = topology.hop_count
-    ids = topology.node_ids[:-1]
-    records = np.column_stack(
-        [fr.record_length(i, raw[:, j]) for j, i in enumerate(ids)]
-    )
+    records = fr.record_length(np.array(topology.node_ids[:-1]), raw)
     nbytes = fr.FRAME_OVERHEAD + np.arange(1, hops + 1) + np.cumsum(records, axis=1)
 
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above its chunk's
-    # threshold.  Thresholds are scalar math, once per distinct chunk size.
+    # threshold.  Each hop's frame is its shortest in the block plus 0..E
+    # escape bytes, so each chunk's thresholds are scalar math once per
+    # (extra bytes, hop), looked up by every cell: a table, no sort.
     rounds_states = derive_states(seed, _LINK_STREAM_TAG, rnd)
-    states = derive_states(rounds_states[:, None], np.arange(hops))
-    nbits = 10 * nbytes
-    ok = np.ones(nbits.shape, dtype=bool)
-    for c in range(-(-int(nbits.max()) // BINOMIAL_CHUNK)):
-        m = np.clip(nbits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK)
-        keys, inverse = np.unique(m * hops + np.arange(hops), return_inverse=True)
-        threshold = np.array(
-            [_zero_flip_threshold(int(k) // hops, bers[int(k) % hops]) for k in keys]
+    hop = np.arange(hops)
+    states = derive_states(rounds_states[:, None], hop)
+    shortest = nbytes.min(axis=0)
+    extra = nbytes - shortest
+    frame_bits = 10 * (shortest + np.arange(int(extra.max()) + 1)[:, None])
+    ok = np.ones(nbytes.shape, dtype=bool)
+    for c in range(-(-10 * int(nbytes.max()) // BINOMIAL_CHUNK)):
+        m = np.clip(frame_bits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK).tolist()
+        table = np.array(
+            [[_zero_flip_threshold(b, ber) for b, ber in zip(row, bers)] for row in m]
         )
-        ok &= ~(uniform_at(states, c) > threshold[inverse.reshape(m.shape)])
+        ok &= ~(uniform_at(states, c) > table[extra, hop])
     live = np.ones(ok.shape, dtype=bool)
     live[:, 1:] = np.logical_and.accumulate(ok[:, :-1], axis=1)
     return live, live & ok, nbytes, live & ~fr.raw_in_range(raw)

@@ -109,6 +109,46 @@ def test_calibrate_divergence_exits_2(base_cfg, tmp_path):
     assert code == EXIT_FAILURE
 
 
+@pytest.mark.parametrize(
+    "target, field",
+    [("nan:16:4:0.95", "turbidity_ntu"), ("0.01:inf:4:0.95", "total_distance_m")],
+)
+def test_calibrate_non_finite_target_is_usage_error(
+    base_cfg, tmp_path, capsys, target, field
+):
+    out = tmp_path / "x.cfg"
+    args = ["calibrate", "--config", str(base_cfg), "--out", str(out)]
+    code = main(args + ["--target", target, "--target", "70:16:4:0.89"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not out.exists()
+
+
+# Residuals 0.035 and 0.025 at the fit: these targets diverge at the default
+# tolerance of 0.005.
+DIVERGING_TARGETS = ["--target", "0.01:16:4:0.89", "--target", "70:16:4:0.95"]
+
+
+@pytest.mark.parametrize(
+    "tolerance, targets",
+    [
+        ("nan", DIVERGING_TARGETS),  # would switch the divergence check off
+        ("-1", ["--target", "0.01:16:4:0.95", "--target", "70:16:4:0.89"]),
+    ],
+)
+def test_calibrate_bad_tolerance_is_usage_error(
+    base_cfg, tmp_path, capsys, tolerance, targets
+):
+    out = tmp_path / "x.cfg"
+    args = ["calibrate", "--config", str(base_cfg), "--out", str(out)]
+    assert main(args + targets + ["--tolerance", tolerance]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tolerance" in err[0]
+    assert not out.exists()
+    assert main(args + DIVERGING_TARGETS) == EXIT_FAILURE
+
+
 def test_calibrate_recovers_synthetic_config(base_cfg, tmp_path):
     # targets generated from a known channel; the fit must reproduce them
     from uwocnet.channel import CalibrationTarget, ChannelParams, model_cumulative_psr

@@ -190,6 +190,41 @@ def test_partition_from_a_late_round_counts_equal():
     assert counted == stepped
 
 
+# Near -39 degC the high byte is 0x00 about half the time and the low byte
+# sometimes 0x00 or 0xFF, so records take 3 to 6 bytes and each hop's frame
+# length varies over several escape bytes within one block.
+ESCAPE_HEAVY = SensorProfile(baseline_c=-39.0, amplitude_c=0.0, noise_std_c=0.05)
+
+
+def test_escape_heavy_readings_span_three_to_six_bytes():
+    raw = sensor_raw(np.array([0x7D, 5]), np.arange(4000.0)[:, None], ESCAPE_HEAVY)
+    lengths = fr.record_length(np.array([0x7D, 5]), raw)
+    assert set(lengths[:, 0].tolist()) == {4, 5, 6}
+    assert set(lengths[:, 1].tolist()) == {3, 4, 5}
+
+
+def test_escape_heavy_anchor_line_counts_equal():
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    seed = sim.scenario_seed(ACCEPTANCE_SEED, 70.0)
+    attempted, delivered, _ = assert_engines_agree(
+        topo, ANCHOR, 1500, seed, ESCAPE_HEAVY
+    )
+    assert delivered[-1] < attempted[0] == 1500
+
+
+def test_escape_heavy_escaped_node_ids_counts_equal():
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY)
+
+
+def test_escape_heavy_long_line_multi_chunk_counts_equal():
+    topo = linear_topology(range(30), auth_keys=range(1, 31))
+    attempted, delivered, _ = assert_engines_agree(
+        topo, lossy_params(0.995), 400, seed=12, profile=ESCAPE_HEAVY
+    )
+    assert 0 < delivered[-1] < attempted[-1]
+
+
 # --- monitor rows ------------------------------------------------------------------
 
 
@@ -220,6 +255,14 @@ def test_single_hop_monitor_rows_equal():
 def test_escaped_node_ids_monitor_rows_equal():
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
     assert_monitor_agrees(topo, lossy_params(0.9), 2000, seed=6)
+
+
+def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    rows = assert_monitor_agrees(
+        topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY
+    )
+    assert 0 < len(rows) < 2000
 
 
 def test_long_line_multi_chunk_monitor_rows_equal():
@@ -291,6 +334,10 @@ def test_record_length_matches_encoder():
             record = fr.SensorRecord(node_id, fr.raw_to_temperature(int(raw)))
             frame = fr.Frame((180,), (record,))
             assert len(fr.encode_frame(frame)) == fr.FRAME_OVERHEAD + 1 + length
+    # one id per column of a 2-d raw array, as the engine passes a line's ids
+    ids = np.array([0x00, 0x41, 0x7D])
+    table = fr.record_length(ids, np.column_stack([raws] * len(ids)))
+    assert table.T.tolist() == [fr.record_length(i, raws).tolist() for i in ids]
 
 
 def test_sensor_raw_matches_sample_sensor():
@@ -460,6 +507,20 @@ def test_out_of_range_reading_in_a_later_round_raises_the_same_error():
                          profile=profile, collect_monitor=monitor)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_far_out_of_range_reading_raises_record_out_of_range(monitor):
+    # From 84.9 degC at 0.033 degC/s the canary round stays in range and
+    # round 1's originator (t = 4 s) is out of it; later rounds of the same
+    # block read above 216 degC, whose raw value needs more than 16 bits.
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    profile = replace(_rising(0.033), baseline_c=84.9)
+    slot = 1.0
+    assert sensor_raw(0, np.array([1999 * 4 * slot]), profile)[0] >= 1 << 16
+    with pytest.raises(fr.RecordOutOfRange):
+        run_scenario(linear_topology(range(5)), clean, 2000, 0, slot_duration=slot,
+                     profile=profile, collect_monitor=monitor)
 
 
 # --- canary ------------------------------------------------------------------------
