@@ -10,7 +10,6 @@ the sink hands to the monitor.
 from uwocnet import (
     BytesArrived,
     DeliverToMonitor,
-    NodeState,
     SensorProfile,
     SlotEnd,
     SlotStart,
@@ -23,13 +22,7 @@ from uwocnet import (
 profile = SensorProfile(baseline_c=20.0, amplitude_c=1.5, period_s=3600.0,
                         noise_std_c=0.05, seed=7)
 topology = linear_topology(range(5))
-
-states = []
-upstream = ()
-for spec in topology.nodes:
-    states.append(NodeState(spec.node_id, spec.role, spec.auth_key,
-                            upstream, profile))
-    upstream = upstream + (spec.auth_key,)
+states = topology.node_states(profile)
 
 slot_s = 0.05
 print("slot schedule for round 0:")

@@ -35,7 +35,6 @@ from .frame import (
     decode_frame,
     encode_frame,
     escape_payload,
-    nominal_frame_length,
     unescape_payload,
     worst_case_frame_length,
 )
@@ -62,7 +61,6 @@ from .rng import Substream, derive_seed
 from .sim import (
     HopStats,
     MonitorRow,
-    NodeSpec,
     PsrReport,
     Topology,
     linear_topology,

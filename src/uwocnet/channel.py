@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import erfcinv
 
-from .frame import nominal_frame_length
+from . import frame as fr
 
 BITS_PER_BYTE_ON_WIRE = 10  # 8N1: start + 8 data + stop
 
@@ -157,13 +157,9 @@ def cumulative_path_success(
 
 
 def hop_frame_lengths(node_ids) -> list[int]:
-    """Deterministic frame sizes per hop for a relay line.
-
-    The frame on hop j carries keys and records of nodes 0..j, so its
-    skeleton length is nominal_frame_length(node_ids[:j+1]).
-    """
-    ids = tuple(node_ids)
-    return [nominal_frame_length(ids[: j + 1]) for j in range(len(ids))]
+    """Nominal frame sizes per hop for a relay line of these transmitters
+    (frame.hop_frame_lengths at its reference reading)."""
+    return fr.hop_frame_lengths(node_ids).tolist()
 
 
 @dataclass(frozen=True)
@@ -180,6 +176,8 @@ class CalibrationTarget:
             raise ValueError("turbidity_ntu must be finite and >= 0")
         if not (math.isfinite(self.total_distance_m) and self.total_distance_m > 0):
             raise ValueError("total_distance_m must be finite and > 0")
+        if isinstance(self.hop_count, bool) or not isinstance(self.hop_count, int):
+            raise ValueError(f"hop_count must be an integer, got {self.hop_count!r}")
         if self.hop_count < 1:
             raise ValueError("hop_count must be >= 1")
         if not 0.0 < self.target_psr < 1.0:
@@ -199,16 +197,14 @@ class CalibrationDiverged(Exception):
 _FREE_FIELDS = ("clear_water_attenuation", "turbidity_slope", "noise_sigma")
 
 
-def _transmitters(target: CalibrationTarget, node_ids) -> tuple[int, ...]:
-    """Ids transmitting on the target's hops, default 0..hop_count-1."""
+def _transmitters(hop_count: int, node_ids) -> tuple[int, ...]:
+    """Ids transmitting on hop_count hops, default 0..hop_count-1."""
     if node_ids is None:
-        return tuple(range(target.hop_count))
+        return tuple(range(hop_count))
     ids = tuple(node_ids)
-    if len(ids) < target.hop_count:
-        raise ValueError(
-            f"need {target.hop_count} transmitting node ids, got {len(ids)}"
-        )
-    return ids[: target.hop_count]
+    if len(ids) < hop_count:
+        raise ValueError(f"need {hop_count} transmitting node ids, got {len(ids)}")
+    return ids[:hop_count]
 
 
 def _ber_for_success(psr: float, frame_bytes: int) -> float:
@@ -225,9 +221,14 @@ def model_cumulative_psr(
     node_ids are the transmitting nodes' ids in hop order (they shape the
     frame sizes); the default 0..hop_count-1 matches the standard line.
     """
+    lengths = hop_frame_lengths(_transmitters(target.hop_count, node_ids))
+    return _path_psr(params, target, lengths)
+
+
+def _path_psr(params: ChannelParams, target: CalibrationTarget, lengths) -> float:
+    """model_cumulative_psr for the given frame length on each hop."""
     d = target.total_distance_m / target.hop_count
     link = LinkSpec(d, target.turbidity_ntu)
-    lengths = hop_frame_lengths(_transmitters(target, node_ids))
     return cumulative_path_success(params, [link] * target.hop_count, lengths)[-1]
 
 
@@ -317,10 +318,10 @@ def calibrate(
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
     base = replace(ChannelParams(), **fixed)
 
+    lengths = [hop_frame_lengths(_transmitters(t.hop_count, node_ids)) for t in targets]
     log_x = []
-    for t in targets:
-        frame_bytes = sum(hop_frame_lengths(_transmitters(t, node_ids)))
-        x = q_inverse(_ber_for_success(t.target_psr, frame_bytes))
+    for t, hop_lengths in zip(targets, lengths):
+        x = q_inverse(_ber_for_success(t.target_psr, sum(hop_lengths)))
         if x <= 0:
             raise ValueError(
                 f"target PSR {t.target_psr} needs a BER of at least 0.5, "
@@ -359,8 +360,8 @@ def calibrate(
         fitted["noise_sigma"] = math.exp(fitted["noise_sigma"])
     params = replace(base, **fitted)
     residuals = tuple(
-        abs(model_cumulative_psr(params, t, node_ids) - t.target_psr)
-        for t in targets
+        abs(_path_psr(params, t, hop_lengths) - t.target_psr)
+        for t, hop_lengths in zip(targets, lengths)
     )
     if max(residuals) > tolerance:
         raise CalibrationDiverged(residuals, tolerance)
@@ -398,10 +399,7 @@ def fit_link_loss_overrides(
         raise ValueError("hops 2..H must share one distance")
     if not 0.0 < final_psr < first_hop_psr < 1.0:
         raise ValueError("need 0 < final_psr < first_hop_psr < 1")
-    ids = tuple(node_ids) if node_ids is not None else tuple(range(hops))
-    if len(ids) < hops:
-        raise ValueError(f"need {hops} transmitting node ids, got {len(ids)}")
-    lengths = hop_frame_lengths(ids[:hops])
+    lengths = hop_frame_lengths(_transmitters(hops, node_ids))
 
     ber_tail = _ber_for_success(final_psr / first_hop_psr, sum(lengths[1:]))
     x = q_inverse(ber_tail)

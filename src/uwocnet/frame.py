@@ -29,6 +29,9 @@ the payload.
 All functions are pure and operate on immutable values; they are safe to
 call concurrently.  record_length looks each byte's escape cost up in a
 256-entry numpy table that is read-only, so no caller can change it.
+hop_frame_lengths, built on it, is the one formula for the length of the
+frame on each hop: the simulator's counting engine and the closed-form link
+budget both take their lengths from it.
 """
 
 from __future__ import annotations
@@ -296,24 +299,25 @@ def append_hop(frame: Frame, key: int, record: SensorRecord) -> Frame:
     return _frame_unchecked(frame.key_chain + (key,), frame.records + (record,))
 
 
-# Temperature whose fixed-point bytes (0x3C, 0x80) never need escaping;
-# used to define the deterministic "skeleton" frame length below.
+# Temperature whose fixed-point bytes (0x3C, 0x80) never need escaping:
+# hop_frame_lengths' default reading, which gives the nominal lengths.
 REFERENCE_TEMP_C = 20.5
 FRAME_OVERHEAD = 3  # header, sync and end bytes
 
 
-def nominal_frame_length(node_ids) -> int:
-    """Encoded length of a frame carrying one record per given node id.
+def hop_frame_lengths(node_ids, raw=temperature_to_raw(REFERENCE_TEMP_C)):
+    """Encoded length of the frame on each hop of a relay line.
 
-    Assumes temperature bytes that need no escaping (node ids 0x00/0x7D
-    still cost an extra escape byte each).  This is the deterministic
-    frame-size model used by the closed-form link budget; actual frames
-    differ only when a temperature byte happens to land on a reserved
-    value.
+    node_ids are the transmitters in hop order.  The frame on hop j carries
+    the key and the record of each of nodes 0..j, so its length is
+    FRAME_OVERHEAD + cumsum(1 + record_length) up to j.  raw holds the
+    transmitters' fixed-point readings, one per id on its last axis; a
+    leading axis of rounds broadcasts, giving one row of lengths per round.
+    The default, REFERENCE_TEMP_C, needs no escape byte: the nominal lengths
+    of the closed-form link budget (node ids 0x00 and 0x7D still cost one).
     """
-    ids = tuple(node_ids)
-    payload = sum(3 + (1 if i in _ESCAPED else 0) for i in ids)
-    return FRAME_OVERHEAD + len(ids) + payload
+    records = record_length(np.asarray(node_ids, dtype=np.int64), raw)
+    return FRAME_OVERHEAD + np.cumsum(1 + records, axis=-1)
 
 
 def worst_case_frame_length(record_count: int) -> int:

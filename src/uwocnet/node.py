@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import frame as fr
+from .channel import BITS_PER_BYTE_ON_WIRE
 from .rng import Substream, derive_states, uniform_at
 
 _SENSOR_STREAM_TAG = 0x5E_45_0001
@@ -423,4 +424,4 @@ def min_slot_duration(node_count: int, bit_rate: float = DEFAULT_BIT_RATE) -> fl
     """Smallest slot that passes the schedule() worst-case frame check."""
     if not (math.isfinite(bit_rate) and bit_rate > 0):
         raise ValueError("bit_rate must be finite and > 0")
-    return 10 * fr.worst_case_frame_length(node_count) / bit_rate
+    return BITS_PER_BYTE_ON_WIRE * fr.worst_case_frame_length(node_count) / bit_rate

@@ -6,10 +6,15 @@ hop).  Any bit flip - framing bits included - kills the packet for
 packet-success accounting and terminates the round's propagation, matching
 a no-FEC receiver where ground truth is known.
 
+A Topology is the line's node ids, keys and links in order; a node's role
+and the key chain it expects follow from its position, and
+Topology.node_states is the one place that derives them.
+
 Two engines give the same results.  The reference engine steps every
 node's state machine through every round.  The counting engine, which
 serves every run, computes a block of rounds at once in numpy: each
-transmitter's sensor reading, hence each hop's frame length, and each hop's
+transmitter's sensor reading, hence each hop's frame length (by
+frame.hop_frame_lengths, the closed form's formula), and each hop's
 zero-flip test, one link substream word per 1024-bit chunk.  It draws the
 same words as the reference engine, so its counts are exact, not
 statistical.  A round reaches the monitor only when every hop drew zero
@@ -36,7 +41,7 @@ import numpy as np
 
 from . import frame as fr
 from . import node as nd
-from .channel import ChannelParams, LinkSpec, attenuate, ook_ber
+from .channel import BITS_PER_BYTE_ON_WIRE, ChannelParams, LinkSpec, attenuate, ook_ber
 from .rng import (
     BINOMIAL_CHUNK,
     Substream,
@@ -54,46 +59,31 @@ _BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    node_id: int
-    auth_key: int
-    role: nd.NodeRole
-
-
-@dataclass(frozen=True)
 class Topology:
-    """Ordered relay line: first node originates, last node is the sink."""
+    """Ordered relay line: first node originates, last node is the sink.
 
-    nodes: tuple[NodeSpec, ...]
+    One node id and one auth key per node, in line order, and one link per
+    pair of consecutive nodes; roles follow position (see node_states).
+    """
+
+    node_ids: tuple[int, ...]
+    auth_keys: tuple[int, ...]
     links: tuple[LinkSpec, ...]
 
     def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
+        if len(self.node_ids) < 2:
             raise ValueError("a topology needs at least two nodes")
-        if len(self.links) != len(self.nodes) - 1:
+        if len(self.auth_keys) != len(self.node_ids):
+            raise ValueError("need one auth key per node")
+        if len(self.links) != len(self.node_ids) - 1:
             raise ValueError("need exactly one link between consecutive nodes")
-        roles = [n.role for n in self.nodes]
-        if roles[0] is not nd.NodeRole.ORIGINATOR or roles[-1] is not nd.NodeRole.SINK:
-            raise ValueError("first node must originate, last node must be the sink")
-        if any(r is not nd.NodeRole.RELAY for r in roles[1:-1]):
-            raise ValueError("interior nodes must be relays")
-        for n in self.nodes:
-            fr.validate_node_id(n.node_id)
-            fr.validate_auth_key(n.auth_key)
-        ids = [n.node_id for n in self.nodes]
-        keys = [n.auth_key for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        for nid, key in zip(self.node_ids, self.auth_keys):
+            fr.validate_node_id(nid)
+            fr.validate_auth_key(key)
+        if len(set(self.node_ids)) != len(self.node_ids):
             raise ValueError("node ids must be distinct")
-        if len(set(keys)) != len(keys):
+        if len(set(self.auth_keys)) != len(self.auth_keys):
             raise ValueError("authentication keys must be distinct")
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(n.node_id for n in self.nodes)
-
-    @property
-    def key_chain(self) -> tuple[int, ...]:
-        return tuple(n.auth_key for n in self.nodes)
 
     @property
     def hop_count(self) -> int:
@@ -101,7 +91,21 @@ class Topology:
 
     def with_turbidity(self, turbidity_ntu: float) -> "Topology":
         links = tuple(replace(l, turbidity_ntu=turbidity_ntu) for l in self.links)
-        return Topology(self.nodes, links)
+        return replace(self, links=links)
+
+    def node_states(self, profile: nd.SensorProfile) -> list[nd.NodeState]:
+        """Every node's idle state, in line order.
+
+        The first node originates, the last is the sink and the rest relay;
+        each node expects the keys of all nodes upstream of it.
+        """
+        relays = [nd.NodeRole.RELAY] * (self.hop_count - 1)
+        roles = [nd.NodeRole.ORIGINATOR, *relays, nd.NodeRole.SINK]
+        nodes = zip(self.node_ids, roles, self.auth_keys)
+        return [
+            nd.NodeState(nid, role, key, self.auth_keys[:i], profile)
+            for i, (nid, role, key) in enumerate(nodes)
+        ]
 
 
 def linear_topology(
@@ -111,7 +115,7 @@ def linear_topology(
     turbidity_ntu: float = 0.0,
     extra_loss=None,
 ) -> Topology:
-    """Build a relay line with roles by position.
+    """Build a relay line, by default with DEFAULT_KEY_TABLE's keys.
 
     link_distance_m is one distance for every hop or a sequence of one
     distance per link.
@@ -119,8 +123,6 @@ def linear_topology(
     ids = tuple(node_ids)
     hops = max(len(ids) - 1, 0)  # no nodes: Topology's node count check reports it
     keys = tuple(auth_keys) if auth_keys is not None else fr.DEFAULT_KEY_TABLE[: len(ids)]
-    if len(keys) != len(ids):
-        raise ValueError("need one auth key per node")
     if isinstance(link_distance_m, (int, float)):
         distances = (link_distance_m,) * hops
     else:
@@ -130,20 +132,10 @@ def linear_topology(
     losses = tuple(extra_loss) if extra_loss is not None else (1.0,) * hops
     if len(losses) != hops:
         raise ValueError("need one extra_loss per link")
-    nodes = []
-    for i, (nid, key) in enumerate(zip(ids, keys)):
-        role = (
-            nd.NodeRole.ORIGINATOR
-            if i == 0
-            else nd.NodeRole.SINK
-            if i == hops
-            else nd.NodeRole.RELAY
-        )
-        nodes.append(NodeSpec(nid, key, role))
     links = tuple(
         LinkSpec(d, turbidity_ntu, loss) for d, loss in zip(distances, losses)
     )
-    return Topology(tuple(nodes), links)
+    return Topology(ids, keys, links)
 
 
 @dataclass
@@ -188,7 +180,7 @@ def transmit_over_link(
 ) -> tuple[bytes, bool]:
     """Push one frame through one optical link.
 
-    Serialization is 8N1, so 10 * len(data) bits cross the water; each
+    Serialization is 8N1, so 10 bits per byte cross the water; each
     flips independently with the link's OOK bit error probability (flip
     count ~ Binomial, positions uniform - the same joint law).  Start/stop
     bit flips corrupt the packet without changing the returned bytes.
@@ -196,15 +188,15 @@ def transmit_over_link(
     Returns (received bytes, corrupted flag).
     """
     ber = ook_ber(attenuate(params, link), params)
-    n_bits = 10 * len(data)
+    n_bits = BITS_PER_BYTE_ON_WIRE * len(data)
     flips = stream.binomial(n_bits, ber)
     if flips == 0:
         return bytes(data), False
     buf = bytearray(data)
     for pos in stream.distinct_below(n_bits, flips):
-        bit = pos % 10
+        byte, bit = divmod(pos, BITS_PER_BYTE_ON_WIRE)
         if 1 <= bit <= 8:  # data bits; 0 is the start bit, 9 the stop bit
-            buf[pos // 10] ^= 1 << (bit - 1)  # LSB-first on the wire
+            buf[byte] ^= 1 << (bit - 1)  # LSB-first on the wire
     return bytes(buf), True
 
 
@@ -212,25 +204,6 @@ def scenario_seed(root_seed: int, turbidity_ntu: float) -> int:
     """Per-turbidity child seed, independent of sweep-list position."""
     (bits,) = struct.unpack("<Q", struct.pack("<d", float(turbidity_ntu)))
     return derive_seed(root_seed, _SCENARIO_TAG, bits)
-
-
-def _fresh_states(
-    topology: Topology, profile: nd.SensorProfile
-) -> list[nd.NodeState]:
-    states = []
-    upstream: tuple[int, ...] = ()
-    for spec in topology.nodes:
-        states.append(
-            nd.NodeState(
-                spec.node_id,
-                spec.role,
-                spec.auth_key,
-                expected_upstream_keys=upstream,
-                profile=profile,
-            )
-        )
-        upstream = upstream + (spec.auth_key,)
-    return states
 
 
 def _simulate_rounds(
@@ -253,7 +226,7 @@ def _simulate_rounds(
     round_time = hops * slot_duration
     # NodeStates are immutable values: every round starts from the same
     # idle template, so the list is rebuilt by copy, not reconstruction.
-    template = _fresh_states(topology, profile)
+    template = topology.node_states(profile)
 
     for rnd in range(first_round, last_round):
         states = list(template)
@@ -328,8 +301,7 @@ def _block_outcomes(
     an array of shape (rounds, hops).
     """
     hops = topology.hop_count
-    records = fr.record_length(np.array(topology.node_ids[:-1]), raw)
-    nbytes = fr.FRAME_OVERHEAD + np.arange(1, hops + 1) + np.cumsum(records, axis=1)
+    nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
 
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above its chunk's
@@ -341,9 +313,10 @@ def _block_outcomes(
     states = derive_states(rounds_states[:, None], hop)
     shortest = nbytes.min(axis=0)
     extra = nbytes - shortest
-    frame_bits = 10 * (shortest + np.arange(int(extra.max()) + 1)[:, None])
+    by_extra = shortest + np.arange(int(extra.max()) + 1)[:, None]
+    frame_bits = BITS_PER_BYTE_ON_WIRE * by_extra
     ok = np.ones(nbytes.shape, dtype=bool)
-    for c in range(-(-10 * int(nbytes.max()) // BINOMIAL_CHUNK)):
+    for c in range(-(-BITS_PER_BYTE_ON_WIRE * int(nbytes.max()) // BINOMIAL_CHUNK)):
         m = np.clip(frame_bits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK).tolist()
         table = np.array(
             [[_zero_flip_threshold(b, ber) for b, ber in zip(row, bers)] for row in m]
@@ -465,7 +438,7 @@ def run_scenario(
         raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     if slot_duration is None:
-        slot_duration = nd.min_slot_duration(len(topology.nodes), bit_rate)
+        slot_duration = nd.min_slot_duration(len(topology.node_ids), bit_rate)
     # Validates SlotTooShort and the pipeline structure once; round r's
     # windows are the round-0 windows shifted by r * hop_count * slot.
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)

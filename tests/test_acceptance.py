@@ -29,7 +29,6 @@ from uwocnet.node import (
     BytesArrived,
     DeliverToMonitor,
     NodeRole,
-    NodeState,
     ProtocolViolation,
     SensorProfile,
     SlotEnd,
@@ -247,13 +246,7 @@ def test_criterion_5_codec_property_suite():
 def test_criterion_6_relay_invariant_suite():
     # error-free end-to-end round over 5 nodes, driven through step()
     profile = SensorProfile(baseline_c=20.5, amplitude_c=0.0, noise_std_c=0.0)
-    topo = linear_topology(range(5))
-    states = []
-    upstream = ()
-    for spec in topo.nodes:
-        states.append(NodeState(spec.node_id, spec.role, spec.auth_key,
-                                upstream, profile))
-        upstream = upstream + (spec.auth_key,)
+    states = linear_topology(range(5)).node_states(profile)
     delivered = None
     data = None
     for hop in range(4):
@@ -277,14 +270,10 @@ def test_criterion_6_relay_invariant_suite():
     rng = random.Random(SEED + 1)
     frame_bytes = fr.encode_frame(fr.Frame((180,), (fr.SensorRecord(0, 20.5),)))
     checked = 0
-    for role, own, up in (
-        (NodeRole.ORIGINATOR, 180, ()),
-        (NodeRole.RELAY, 170, (180,)),
-        (NodeRole.SINK, 154, (180, 170)),
-    ):
+    for idle in linear_topology(range(3)).node_states(profile):
+        role = idle.role
         for _ in range(100):
-            state = NodeState(0 if role is NodeRole.ORIGINATOR else 1, role,
-                              own, up, profile)
+            state = idle
             clock = 0.0
             for _ in range(40):
                 clock += rng.uniform(0.0, 1.0)

@@ -170,6 +170,7 @@ def test_cumulative_path_success_shrinks_per_hop():
 def test_hop_frame_lengths_match_line_growth():
     # ids 0..3: node id 0 escapes, so lengths are 8, 12, 16, 20
     assert hop_frame_lengths(range(4)) == [8, 12, 16, 20]
+    assert hop_frame_lengths([]) == []
 
 
 # --- parameter validation -------------------------------------------------------
@@ -276,6 +277,11 @@ def test_calibrate_input_validation():
         calibrate([CalibrationTarget(5.0, 16.0, 4, 0.9)])
     with pytest.raises(ValueError):
         calibrate(PAPER_TARGETS, fixed={"no_such_param": 1.0})
+    # a hop count that is no integer is refused by the target, not the fit
+    with pytest.raises(ValueError, match="hop_count"):
+        calibrate([(0.01, 16, 2.5, 0.95), (70, 16, 4, 0.89)])
+    with pytest.raises(ValueError, match="hop_count"):
+        calibrate([(0.01, 4.0, True, 0.97)])  # not one hop
 
 
 def test_calibrate_diverges_on_contradictory_targets():

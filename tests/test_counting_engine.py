@@ -42,7 +42,7 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
 def engine_counts(topo, params, rounds, seed, profile=None, first=0):
     """(attempted, delivered, frame_bytes_sum) from both engines."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
-    slot = min_slot_duration(len(topo.nodes))
+    slot = min_slot_duration(len(topo.node_ids))
     args = (topo, params, seed, first, first + rounds, slot, profile)
     counted = sim._count_rounds(*args)[:3]
     stepped = sim._simulate_rounds(*args, False)[:3]
@@ -74,7 +74,7 @@ def stepped_fields(attempted, delivered, frame_bytes_sum):
 def assert_monitor_agrees(topo, params, rounds, seed, profile=None, workers=1):
     """run_scenario's monitor rows and counts against the reference engine's."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
-    slot = min_slot_duration(len(topo.nodes))
+    slot = min_slot_duration(len(topo.node_ids))
     *counts, rows = sim._simulate_rounds(
         topo, params, seed, 0, rounds, slot, profile, True
     )
@@ -125,8 +125,8 @@ def test_escaped_node_ids_counts_equal():
     # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
     _, _, frame_bytes = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
-    nominal = fr.nominal_frame_length([0x7D])
-    assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.nominal_frame_length([1]) + 1)
+    (nominal,) = fr.hop_frame_lengths([0x7D])
+    assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
 
 
 def test_long_line_multi_chunk_counts_equal():
@@ -134,13 +134,12 @@ def test_long_line_multi_chunk_counts_equal():
     # hop outcome takes a second uniform from the link substream.
     ids = list(range(30))
     topo = linear_topology(ids, auth_keys=range(1, 31))
-    assert 10 * fr.nominal_frame_length(ids[:-1]) > 1024
+    lengths = fr.hop_frame_lengths(ids[:-1])
+    assert 10 * lengths[-1] > 1024
     attempted, delivered, _ = assert_engines_agree(
         topo, lossy_params(0.995), 400, seed=12
     )
-    long_hops = [
-        h for h in range(topo.hop_count) if 10 * fr.nominal_frame_length(ids[: h + 1]) > 1024
-    ]
+    long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
     assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
 
 
@@ -170,7 +169,7 @@ def test_partitions_counts_equal(workers):
     profile = SensorProfile(seed=8)
     counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile, workers=workers)
     serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
-    slot = min_slot_duration(len(topo.nodes))
+    slot = min_slot_duration(len(topo.node_ids))
     stepped = sim._simulate_rounds(topo, ANCHOR, 8, 0, 1001, slot, profile, False)
     assert counted.hops == serial.hops
     assert hop_fields(counted) == stepped_fields(*stepped[:3])
@@ -303,7 +302,7 @@ def test_many_blocks_monitor_rows_equal(monkeypatch):
 def test_partition_from_a_late_round_monitor_rows_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     profile = SensorProfile(seed=3)
-    slot = min_slot_duration(len(topo.nodes))
+    slot = min_slot_duration(len(topo.node_ids))
     args = (topo, ANCHOR, 3, 10**9, 10**9 + 500, slot, profile, True)
     counted = sim._count_rounds(*args)
     assert counted == sim._simulate_rounds(*args)
@@ -362,7 +361,7 @@ def test_reading_exactly_on_half_rounds_to_even():
     _, _, frame_bytes = assert_engines_agree(
         topo, lossy_params(0.9), 200, seed=1, profile=profile
     )
-    assert frame_bytes[0] == 200 * (fr.nominal_frame_length([0]) + 1)
+    assert frame_bytes[0] == 200 * (fr.hop_frame_lengths([0])[0] + 1)
 
 
 def test_readings_near_a_tie_are_recomputed_by_sample_sensor(monkeypatch):
@@ -450,7 +449,7 @@ def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
     assert len(report.monitor_rows) > 1800
     assert set(callers) <= {"_own_record", "sensor_raw"}
-    assert callers.count("_own_record") <= len(topo.nodes)
+    assert callers.count("_own_record") <= len(topo.node_ids)
     assert len(callers) < 20
 
 

@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from uwocnet.frame import (
     DEFAULT_KEY_TABLE,
+    REFERENCE_TEMP_C,
     AuthMismatch,
     BadHeader,
     BadPayloadLength,
@@ -20,7 +22,7 @@ from uwocnet.frame import (
     decode_frame,
     encode_frame,
     escape_payload,
-    nominal_frame_length,
+    hop_frame_lengths,
     raw_to_temperature,
     temperature_to_raw,
     unescape_payload,
@@ -295,14 +297,42 @@ def test_default_key_table():
 # --- length models -------------------------------------------------------------
 
 
-def test_nominal_length_matches_codec_at_reference_temperature():
+# Readings with bytes the encoder escapes (0x00, 0x7D or 0xFF, in either
+# byte), among them both ends of the range: 0x0000 and 0x7D00 = 32000.
+SPECIAL_RAWS = (0x0000, 0x007D, 0x00FF, 0x3C00, 0x7C7D, 0x7CFF, 0x7D00)
+
+
+def test_hop_frame_lengths_match_encoder():
     rng = random.Random(88)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        ids = rng.sample(range(0, 255), n)
-        keys = tuple(rng.sample(range(1, 255), n))
-        records = tuple(SensorRecord(i, 20.5) for i in ids)
-        assert len(encode_frame(Frame(keys, records))) == nominal_frame_length(ids)
+
+    def encoded_lengths(ids, raws):
+        """The length encode_frame gives the frame on each hop of the line."""
+        keys = tuple(range(1, len(ids) + 1))  # keys are never escaped
+        records = [SensorRecord(i, raw_to_temperature(r)) for i, r in zip(ids, raws)]
+        return [
+            len(encode_frame(Frame(keys[: j + 1], records[: j + 1])))
+            for j in range(len(ids))
+        ]
+
+    def draw_raw():
+        return rng.choice(SPECIAL_RAWS) if rng.random() < 0.3 else rng.randint(0, 32000)
+
+    reference = temperature_to_raw(REFERENCE_TEMP_C)
+    assert reference == 0x3C80  # neither byte is escaped
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        ids = rng.sample(range(255), n)
+        for escaped_id in (0x00, 0x7D):
+            if escaped_id not in ids and rng.random() < 0.5:
+                ids[rng.randrange(n)] = escaped_id
+        # the default reading gives the nominal lengths
+        assert hop_frame_lengths(ids).tolist() == encoded_lengths(ids, [reference] * n)
+        raw = [draw_raw() for _ in range(n)]
+        assert hop_frame_lengths(ids, np.array(raw)).tolist() == encoded_lengths(ids, raw)
+        # a block of rounds: one row of readings, and of lengths, per round
+        block = np.array([[draw_raw() for _ in range(n)] for _ in range(4)])
+        lengths = hop_frame_lengths(np.array(ids), block)
+        assert lengths.tolist() == [encoded_lengths(ids, row) for row in block.tolist()]
 
 
 def test_worst_case_length_reached_by_all_escaping_payload():

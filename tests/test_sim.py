@@ -17,7 +17,6 @@ from uwocnet.channel import (
 from uwocnet.node import NodeRole, SensorProfile
 from uwocnet.rng import Substream
 from uwocnet.sim import (
-    NodeSpec,
     Topology,
     linear_topology,
     run_scenario,
@@ -46,10 +45,21 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
 
 def test_linear_topology_roles_and_defaults():
     topo = linear_topology(range(5), turbidity_ntu=3.0)
-    assert topo.key_chain == (180, 170, 154, 140, 120)
-    assert topo.nodes[0].role is NodeRole.ORIGINATOR
-    assert topo.nodes[-1].role is NodeRole.SINK
-    assert all(n.role is NodeRole.RELAY for n in topo.nodes[1:-1])
+    assert topo.auth_keys == (180, 170, 154, 140, 120)
+    states = topo.node_states(QUIET)
+    assert [s.node_id for s in states] == [0, 1, 2, 3, 4]
+    assert [s.own_key for s in states] == list(topo.auth_keys)
+    assert [s.role for s in states] == [
+        NodeRole.ORIGINATOR, NodeRole.RELAY, NodeRole.RELAY, NodeRole.RELAY, NodeRole.SINK
+    ]
+    assert [s.expected_upstream_keys for s in states] == [
+        (), (180,), (180, 170), (180, 170, 154), (180, 170, 154, 140)
+    ]
+    assert all(s.profile is QUIET for s in states)
+    pair = linear_topology([9, 7], auth_keys=[33, 44]).node_states(QUIET)
+    assert [(s.role, s.expected_upstream_keys) for s in pair] == [
+        (NodeRole.ORIGINATOR, ()), (NodeRole.SINK, (33,))
+    ]
     assert topo.hop_count == 4
     assert all(l.turbidity_ntu == 3.0 for l in topo.links)
     swapped = topo.with_turbidity(50.0)
@@ -70,18 +80,10 @@ def test_topology_validation():
         linear_topology([0, 1, 2], auth_keys=[180, 180, 154])
     with pytest.raises(ValueError):
         linear_topology([0, 255])  # records carry the id in one byte, 0..254
-    nodes = (
-        NodeSpec(0, 180, NodeRole.RELAY),
-        NodeSpec(1, 170, NodeRole.SINK),
-    )
+    with pytest.raises(ValueError, match="need one auth key per node"):
+        linear_topology([0, 1, 2], auth_keys=[180, 170])
     with pytest.raises(ValueError):
-        Topology(nodes, (LinkSpec(4.0),))
-    reserved_key = (
-        NodeSpec(0, 0, NodeRole.ORIGINATOR),  # key 0x00 collides with framing
-        NodeSpec(1, 170, NodeRole.SINK),
-    )
-    with pytest.raises(ValueError):
-        Topology(reserved_key, (LinkSpec(4.0),))
+        Topology((0, 1), (0, 170), (LinkSpec(4.0),))  # key 0x00 collides with framing
 
 
 # --- transmit_over_link ------------------------------------------------------------
