@@ -1,8 +1,9 @@
 """Command line harness: calibrate, sweep and monitor subcommands.
 
 Every command is a pure function of (config file, flags, seed): identical
-inputs produce byte-identical output files.  Exit codes: 0 success,
-1 usage or config error, 2 simulation or calibration failure.
+inputs produce byte-identical output files.  --seed and --rounds override
+the config; --out only picks the file written.  Exit codes: 0 success,
+1 usage or config error, 2 simulation, calibration or write failure.
 """
 
 from __future__ import annotations
@@ -96,24 +97,18 @@ def render_monitor_csv(report: PsrReport, node_ids) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_config(path: str) -> ScenarioConfig:
+def _load_config(args) -> ScenarioConfig:
+    """The --config file, with --seed and --rounds applied."""
     try:
-        text = Path(path).read_text()
+        text = Path(args.config).read_text()
     except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
-
-
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        config.sensor = replace(config.sensor, seed=args.seed)
-    if getattr(args, "rounds", None) is not None:
-        if args.rounds < 1:
-            raise UsageError("--rounds must be >= 1")
-        config.rounds = args.rounds
-    if getattr(args, "out", None) is not None:
-        config.output_path = args.out
+        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
+    config = parse_config(text)
+    if args.seed is not None:
+        sensor = replace(config.sensor, seed=args.seed)
+        config = replace(config, seed=args.seed, sensor=sensor)
+    if args.rounds is not None:
+        config = replace(config, rounds=args.rounds)
     return config
 
 
@@ -145,8 +140,12 @@ def _parse_target(text: str) -> CalibrationTarget:
         raise UsageError(f"bad --target {text!r}: {exc}") from None
 
 
-def cmd_calibrate(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+# What a command returns: (default output path, text to write, summary lines).
+# main writes the text to --out or the default and prints the summary.
+CommandOutput = tuple[str, str, list[str]]
+
+
+def cmd_calibrate(config: ScenarioConfig, args) -> CommandOutput:
     if not args.target:
         raise UsageError("calibrate needs at least one --target NTU:DIST:HOPS:PSR")
     targets = [_parse_target(t) for t in args.target]
@@ -154,7 +153,7 @@ def cmd_calibrate(args) -> int:
         "source_lux": config.channel.source_lux,
         "ambient_lux": config.channel.ambient_lux,
     }
-    for item in args.fix or ():
+    for item in args.fix:
         name, _, value = item.partition("=")
         if not value:
             raise UsageError(f"--fix must be NAME=VALUE, got {item!r}")
@@ -164,100 +163,69 @@ def cmd_calibrate(args) -> int:
             raise UsageError(f"bad --fix value in {item!r}") from None
     # frame sizes during the fit follow the configured line's node ids
     transmitters = config.node_ids[:-1]
-    try:
-        fitted = calibrate(
-            targets, fixed=fixed, tolerance=args.tolerance, node_ids=transmitters
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    config.channel = fitted
-    out_path = args.out or (str(Path(args.config).with_suffix("")) + ".calibrated.cfg")
-    Path(out_path).write_text(emit_config(config))
+    fitted = calibrate(
+        targets, fixed=fixed, tolerance=args.tolerance, node_ids=transmitters
+    )
 
     free = fitted_fields(targets, fixed)
+    summary = []
     for name, unit in _CALIBRATED_UNITS.items():
         label = f"{'fitted' if name in free else 'held'} {name}"
-        print(f"{label:<30} = {getattr(fitted, name):.6g} {unit}")
+        summary.append(f"{label:<30} = {getattr(fitted, name):.6g} {unit}")
     for t in targets:
         model = model_cumulative_psr(fitted, t, transmitters)
-        print(
+        summary.append(
             f"target {t.turbidity_ntu:g} NTU: model PSR {model:.6f}, "
             f"target {t.target_psr:.6f}, residual {abs(model - t.target_psr):.6f}"
         )
-    print(f"wrote {out_path}")
-    return EXIT_OK
+    default = str(Path(args.config).with_suffix("")) + ".calibrated.cfg"
+    return default, emit_config(replace(config, channel=fitted)), summary
 
 
-def cmd_sweep(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
     turbidities = _parse_turbidities(args)
-    label = args.label or Path(args.config).stem
-    try:
-        reports = sweep(
-            config.topology(),
-            config.channel,
-            turbidities,
-            config.rounds,
-            config.seed,
-            slot_duration=config.slot_duration(),
-            bit_rate=config.bit_rate,
-            profile=config.sensor,
-            workers=args.workers,
-        )
-    except ValueError as exc:  # a --turbidity or --workers value the run rejects
-        raise UsageError(str(exc)) from None
-    csv_text = render_psr_csv(reports, label)
-    out = Path(config.output_path)
-    try:
-        out.write_text(csv_text)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-
+    reports = sweep(
+        config.topology(),
+        config.channel,
+        turbidities,
+        config.rounds,
+        config.seed,
+        slot_duration=config.slot_duration(),
+        bit_rate=config.bit_rate,
+        profile=config.sensor,
+        workers=args.workers,
+    )
+    csv_text = render_psr_csv(reports, args.label or Path(args.config).stem)
     hops = len(reports[0].hops)
-    print(f"{'turbidity_ntu':>13}  {'final_hop':>9}  {'cumulative_psr':>14}")
-    for report in reports:
-        print(
-            f"{_fmt(report.turbidity_ntu):>13}  {hops:>9}  "
-            f"{report.final_cumulative_psr:>14.6f}"
-        )
-    print(f"wrote {out}")
-    return EXIT_OK
+    summary = [f"{'turbidity_ntu':>13}  {'final_hop':>9}  {'cumulative_psr':>14}"]
+    summary += [
+        f"{_fmt(report.turbidity_ntu):>13}  {hops:>9}  "
+        f"{report.final_cumulative_psr:>14.6f}"
+        for report in reports
+    ]
+    return config.output_path, csv_text, summary
 
 
-def cmd_monitor(args) -> int:
-    config = _apply_overrides(_load_config(args.config), args)
+def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     turbidity = _parse_turbidities(args, default=[0.01])[0]
-    try:
-        report = run_scenario(
-            config.topology(turbidity),
-            config.channel,
-            config.rounds,
-            scenario_seed(config.seed, turbidity),
-            slot_duration=config.slot_duration(),
-            bit_rate=config.bit_rate,
-            profile=config.sensor,
-            collect_monitor=True,
-            workers=args.workers,
-        )
-    except ValueError as exc:  # a --turbidity or --workers value the run rejects
-        raise UsageError(str(exc)) from None
-    text = render_monitor_csv(report, config.node_ids)
-    out = Path(config.output_path)
-    try:
-        out.write_text(text)
-    except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    report = run_scenario(
+        config.topology(turbidity),
+        config.channel,
+        config.rounds,
+        scenario_seed(config.seed, turbidity),
+        slot_duration=config.slot_duration(),
+        bit_rate=config.bit_rate,
+        profile=config.sensor,
+        collect_monitor=True,
+        workers=args.workers,
+    )
     delivered = len(report.monitor_rows or ())
-    print(
+    summary = [
         f"{delivered} of {config.rounds} rounds delivered "
         f"(cumulative PSR {report.final_cumulative_psr:.6f}) at "
         f"{_fmt(turbidity)} NTU"
-    )
-    print(f"wrote {out}")
-    return EXIT_OK
+    ]
+    return config.output_path, render_monitor_csv(report, config.node_ids), summary
 
 
 def build_parser() -> _Parser:
@@ -271,7 +239,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="scenario config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--rounds", type=int, default=None, help="override rounds")
-        p.add_argument("--out", default=None, help="override output path")
+        p.add_argument("--out", default=None, help="file to write")
 
     def simulating(p: argparse.ArgumentParser) -> None:
         common(p)
@@ -317,11 +285,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
+        args = build_parser().parse_args(argv)
+        default, text, summary = args.func(_load_config(args), args)
+        out = Path(args.out or default)
+        out.write_text(text)
+    except (UsageError, ValueError) as exc:  # ValueError: a flag value rejected
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, ValidationError) as exc:
@@ -336,6 +305,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    for line in summary:
+        print(line)
+    print(f"wrote {out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -50,6 +50,10 @@ class ScenarioConfig:
     seed: int = 0
     output_path: str = "results.csv"
 
+    def __post_init__(self) -> None:
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+
     def topology(self, turbidity_ntu: float = 0.0) -> Topology:
         return linear_topology(
             self.node_ids,
@@ -180,10 +184,6 @@ def parse_config(text: str) -> ScenarioConfig:
     bit_rate = scalar("channel.bit_rate", float, DEFAULT_BIT_RATE)
     _checked("channel.bit_rate", min_slot_duration, len(node_ids), bit_rate)
 
-    rounds = scalar("traffic.rounds", int, DEFAULT_ROUNDS)
-    if rounds < 1:
-        raise ValidationError("traffic.rounds", "must be >= 1")
-
     slot: float | None = None
     if raw.get("traffic.slot_duration", "auto") != "auto":
         slot = scalar("traffic.slot_duration", float, None)
@@ -200,14 +200,16 @@ def parse_config(text: str) -> ScenarioConfig:
         },
     )
 
-    return ScenarioConfig(
+    return _checked(
+        "traffic.rounds",
+        ScenarioConfig,
         node_ids=tuple(node_ids),
         auth_keys=tuple(auth_keys),
         link_distances_m=distances,
         extra_loss=losses,
         channel=channel,
         bit_rate=bit_rate,
-        rounds=rounds,
+        rounds=scalar("traffic.rounds", int, DEFAULT_ROUNDS),
         slot_duration_s=slot,
         sensor=sensor,
         seed=seed,

@@ -392,7 +392,8 @@ def schedule(
     Hop i occupies slot window i: node i transmits while node i+1 receives.
     Windows are disjoint, so exactly one link is active at a time and each
     node is in at most one slot per window.  Total round time is
-    hop_count * slot_duration.
+    hop_count * slot_duration, and round r starts at r * (hop_count *
+    slot_duration), summed in the order the simulation engines sum it.
 
     Raises SlotTooShort when the worst-case frame (every node's record
     accumulated, every payload byte escaped) cannot be serialized at
@@ -410,7 +411,7 @@ def schedule(
             f"slot is {slot_duration:.6g} s"
         )
     hops = len(ids) - 1
-    t0 = round_index * hops * slot_duration
+    t0 = round_index * (hops * slot_duration)
     slots: list[Slot] = []
     for i in range(hops):
         start = t0 + i * slot_duration

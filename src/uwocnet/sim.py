@@ -41,7 +41,7 @@ import numpy as np
 
 from . import frame as fr
 from . import node as nd
-from .channel import BITS_PER_BYTE_ON_WIRE, ChannelParams, LinkSpec, attenuate, ook_ber
+from .channel import BITS_PER_BYTE_ON_WIRE, ChannelParams, LinkSpec, attenuate, link_ber
 from .rng import (
     BINOMIAL_CHUNK,
     Substream,
@@ -187,7 +187,7 @@ def transmit_over_link(
 
     Returns (received bytes, corrupted flag).
     """
-    ber = ook_ber(attenuate(params, link), params)
+    ber = link_ber(params, link)
     n_bits = BITS_PER_BYTE_ON_WIRE * len(data)
     flips = stream.binomial(n_bits, ber)
     if flips == 0:
@@ -376,7 +376,7 @@ def _count_rounds(
         topology, params, seed, first_round, first_round + 1, slot_duration,
         profile, collect_monitor,
     )
-    bers = [ook_ber(attenuate(params, link), params) for link in topology.links]
+    bers = [link_ber(params, link) for link in topology.links]
     totals = np.zeros((3, topology.hop_count), dtype=np.int64)
     monitor: list[MonitorRow] = []
     block = max(1, _BLOCK_CELLS // topology.hop_count)
@@ -439,8 +439,8 @@ def run_scenario(
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     if slot_duration is None:
         slot_duration = nd.min_slot_duration(len(topology.node_ids), bit_rate)
-    # Validates SlotTooShort and the pipeline structure once; round r's
-    # windows are the round-0 windows shifted by r * hop_count * slot.
+    # Validates SlotTooShort and the pipeline structure once; both engines
+    # then place round r's windows as schedule(..., r) does.
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
 
     hops = topology.hop_count

@@ -17,7 +17,9 @@ from uwocnet.cli import (
 from uwocnet.config import parse_config
 from uwocnet.sim import MonitorRow, PsrReport
 
-CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "demos" / "configs"
+PAPER_ANCHORS = ["--target", "0.01:16:4:0.95", "--target", "70:16:4:0.89"]
 
 BASE_CONFIG = """\
 topology.nodes = 0:180, 1:170, 2:154, 3:140, 4:120
@@ -237,6 +239,71 @@ def test_calibrate_reports_fixed_parameter_as_held(base_cfg, tmp_path, capsys):
     }
 
 
+# sha256 of the config `uwocnet calibrate` writes for baseline.cfg on the
+# paper anchors without --out, recorded before the commands shared one path.
+CALIBRATED_BASELINE_SHA256 = (
+    "cf212572321dca6cec328fd253b6025c0bd409a208d0d21aa7219f511d20811c"
+)
+
+
+def test_calibrated_config_golden(tmp_path, capsys):
+    cfg = tmp_path / "baseline.cfg"
+    cfg.write_bytes((CONFIGS / "baseline.cfg").read_bytes())
+    assert main(["calibrate", "--config", str(cfg)] + PAPER_ANCHORS) == EXIT_OK
+    written = tmp_path / "baseline.calibrated.cfg"
+    assert capsys.readouterr().out.endswith(f"wrote {written}\n")
+    digest = hashlib.sha256(written.read_bytes()).hexdigest()
+    assert digest == CALIBRATED_BASELINE_SHA256
+
+
+def test_calibrate_out_does_not_edit_output_path(tmp_path, monkeypatch):
+    # --out picks the file calibrate writes; the fitted config keeps the base
+    # config's output.path, so a later sweep without --out writes its CSV
+    # there instead of over the fitted config.
+    monkeypatch.chdir(tmp_path)
+    base = tmp_path / "baseline.cfg"
+    base.write_bytes((CONFIGS / "baseline.cfg").read_bytes())
+    calibrate = ["calibrate", "--config", str(base)] + PAPER_ANCHORS
+    assert main(calibrate + ["--out", "fitted.cfg"]) == EXIT_OK
+    assert main(calibrate) == EXIT_OK
+    fitted = tmp_path / "fitted.cfg"
+    text = fitted.read_text()
+    assert text == (tmp_path / "baseline.calibrated.cfg").read_text()
+    sweep = ["sweep", "--config", "fitted.cfg", "--turbidity", "70", "--rounds", "20"]
+    assert main(sweep) == EXIT_OK
+    assert fitted.read_text() == text
+    assert parse_config(text).output_path == "results.csv"
+    assert (tmp_path / "results.csv").read_text().startswith(CSV_HEADER + "\n")
+
+
+# The arguments each command needs besides --config.
+COMMAND_ARGS = {
+    "calibrate": PAPER_ANCHORS,
+    "sweep": ["--turbidity", "1"],
+    "monitor": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_rounds_override_below_one_is_usage_error(command, base_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(base_cfg), "--rounds", "0", "--out", str(out)]
+    assert main(argv + COMMAND_ARGS[command]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "rounds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_unwritable_output_is_io_error(command, base_cfg, capsys):
+    argv = [command, "--config", str(base_cfg), "--rounds", "1"]
+    argv += COMMAND_ARGS[command] + ["--out", "/no/such/dir/out"]
+    assert main(argv) == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("i/o error:")
+
+
 def test_calibrate_rejects_workers_flag(base_cfg, capsys):
     # calibrate simulates no rounds, so it has no --workers option
     code = main(
@@ -323,6 +390,28 @@ def test_sweep_seed_flag_changes_output(lossy_cfg, tmp_path):
     main(args + ["--out", str(a)])
     main(args + ["--out", str(b), "--seed", "999"])
     assert a.read_bytes() != b.read_bytes()
+
+
+# sha256 of `uwocnet sweep --turbidity 0.01,35,70 --rounds 3000`, recorded
+# before the commands shared one path; the label is the config's stem.
+SWEEP_GOLDEN = {
+    CONFIGS / "baseline.cfg": (
+        "55c32fd6a5a99c67cf7762a585bfdbfa764656648cf6bb2927ae1e6d8e4a0c8a"
+    ),
+    REPO / "bench" / "inputs" / "heterogeneous.cfg": (
+        "140b8614c348ce59527e139e9e5b7840f4f71ff18022272153f0bed62b2062dd"
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("config", sorted(SWEEP_GOLDEN), ids=lambda p: p.stem)
+def test_sweep_csv_golden(config, workers, tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config), "--turbidity", "0.01,35,70"]
+    argv += ["--rounds", "3000", "--workers", workers, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GOLDEN[config]
 
 
 def test_sweep_requires_turbidity(base_cfg):

@@ -350,6 +350,37 @@ def test_sensor_raw_matches_sample_sensor():
     assert raw.tolist() == expected
 
 
+@pytest.mark.parametrize("nodes", [4, 5])
+def test_schedule_windows_are_the_reference_engines_slot_times(nodes, monkeypatch):
+    # Round r starts at r * (hops * slot) in both engines, which on a 3-hop
+    # line differs from (r * hops) * slot in the last bit for many rounds.
+    events = []
+    original = nd.step
+
+    def recording(state, event):
+        if isinstance(event, nd.SlotStart):
+            events.append(("start", state.node_id, event.kind, event.time))
+        elif isinstance(event, nd.SlotEnd):
+            events.append(("end", state.node_id, event.time))
+        return original(state, event)
+
+    monkeypatch.setattr(nd, "step", recording)
+    topo = linear_topology(range(nodes))
+    slot = min_slot_duration(nodes)
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    attempted, delivered, *_ = sim._simulate_rounds(
+        topo, clean, 3, 1, 200, slot, SensorProfile(seed=3), False
+    )
+    assert delivered == attempted == [199] * (nodes - 1)
+    expected = [
+        event
+        for rnd in range(1, 200)
+        for s in nd.schedule(topo.node_ids, slot, rnd)
+        for event in (("start", s.node_id, s.kind, s.start), ("end", s.node_id, s.end))
+    ]
+    assert events == expected
+
+
 def test_reading_exactly_on_half_rounds_to_even():
     # 20.001953125 degC sits on 15360.5: round-half-even gives 0x3C00, whose
     # low byte needs an escape, where 15361 would not.
