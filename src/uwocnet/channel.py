@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfcinv
 
 from . import frame as fr
 
@@ -99,10 +99,11 @@ def q_function(x: float) -> float:
 
 
 def q_inverse(p: float) -> float:
-    """Inverse of q_function on (0, 1)."""
+    """Inverse of q_function on (0, 1): x = -Phi^-1(p), with the standard
+    normal quantile Phi^-1 from statistics.NormalDist (Wichura's AS241)."""
     if not 0.0 < p < 1.0:
         raise ValueError("q_inverse needs p in (0, 1)")
-    return float(math.sqrt(2.0) * erfcinv(2.0 * p))
+    return -NormalDist().inv_cdf(p)
 
 
 def attenuate(params: ChannelParams, link: LinkSpec) -> float:

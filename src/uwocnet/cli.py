@@ -207,7 +207,9 @@ def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
 
 
 def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
-    turbidity = _parse_turbidities(args, default=[0.01])[0]
+    turbidity, *rest = _parse_turbidities(args, default=[0.01])
+    if rest:
+        raise UsageError(f"monitor takes one --turbidity value: {args.turbidity!r}")
     report = run_scenario(
         config.topology(turbidity),
         config.channel,

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import replace
 from decimal import Decimal, getcontext
+from statistics import NormalDist
 
 import mpmath as mp
 import pytest
@@ -118,6 +119,37 @@ def test_q_function_accuracy_over_zero_to_eight():
 def test_q_inverse_roundtrip():
     for p in (0.4, 0.1, 1e-3, 1e-6, 1e-9):
         assert q_function(q_inverse(p)) == pytest.approx(p, rel=1e-9)
+
+
+def _q_inverse_oracle(p: float) -> mp.mpf:
+    """x with Q(x) = p at 40 digits: two Newton steps from the float guess.
+
+    Newton on Q(x) - p converges quadratically from a guess already good to
+    ~1e-15, so two steps reach the working precision; inverting erf at
+    1 - 2p instead would need ~1100 bits for p below ~1e-60.
+    """
+    with mp.workdps(40):
+        x = mp.mpf(-NormalDist().inv_cdf(p))
+        for _ in range(2):
+            q = mp.erfc(x / mp.sqrt(2)) / 2
+            density = mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
+            x += (q - p) / density
+        return x
+
+
+def test_q_inverse_precision_against_mpmath():
+    rng = random.Random(11)
+    # the tail calibrate inverts: log-uniform p in [1e-300, 0.25]
+    for _ in range(1000):
+        p = 10.0 ** rng.uniform(-300.0, math.log10(0.25))
+        ref = _q_inverse_oracle(p)
+        assert abs(q_inverse(p) - ref) <= 2e-15 * abs(ref), p
+    # x crosses 0 at p = 0.5, so only an absolute bound is meaningful here
+    for _ in range(300):
+        p = rng.uniform(0.25, 1.0)
+        assert abs(q_inverse(p) - _q_inverse_oracle(p)) <= 2e-15, p
+    # the smallest subnormal still inverts to a finite point
+    assert q_inverse(5e-324) == pytest.approx(38.4674, abs=1e-4)
 
 
 def test_ber_range_and_monotonicity():

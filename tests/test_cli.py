@@ -605,6 +605,8 @@ HOT_SENSOR = "sensor.baseline_c = 84.99\nsensor.noise_std_c = 1.0"
         # readings above 85 degC cannot be encoded: a simulation failure
         (HOT_SENSOR, SWEEP, EXIT_FAILURE, "simulation failed: temperature"),
         (HOT_SENSOR, ["monitor"], EXIT_FAILURE, "simulation failed: temperature"),
+        # monitor runs one turbidity: a list is refused, not cut to its first value
+        ("", ["monitor", "--turbidity", "0.01,70"], EXIT_USAGE, "error:"),
     ],
 )
 def test_bad_input_exits_with_one_error_line(
