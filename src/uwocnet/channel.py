@@ -14,7 +14,9 @@ so BER is at most 0.5 and the ambient level cancels out of the error rate.
 
 Packets are serialized 8N1 (start bit + 8 data bits + stop bit per byte)
 with no error correction, so a packet of B bytes survives with probability
-(1 - ber)^(10*B).
+(1 - ber)^(10*B).  rng.zero_draw_probability is the one survival law: the
+closed form evaluates it, the Monte Carlo's zero-flip test compares uniforms
+against it, and calibrate inverts it.
 
 calibrate() fits the free channel coefficients to measured packet success
 rates in closed form: each target PSR inverts to one BER, hence one value of
@@ -36,6 +38,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import frame as fr
+from .rng import zero_draw_probability
 
 BITS_PER_BYTE_ON_WIRE = 10  # 8N1: start + 8 data + stop
 
@@ -91,6 +94,8 @@ class LinkSpec:
             raise ValueError("turbidity_ntu must be finite and >= 0")
         if not 0 < self.extra_loss <= 1:
             raise ValueError("extra_loss must be in (0, 1]")
+        # -0.0 NTU is clear water, stored as 0.0 so it prints as 0.
+        object.__setattr__(self, "turbidity_ntu", self.turbidity_ntu + 0.0)
 
 
 def q_function(x: float) -> float:
@@ -134,7 +139,7 @@ def packet_success(ber: float, frame_bytes: int) -> float:
         raise ValueError("ber must be in [0, 1]")
     if frame_bytes < 1:
         raise ValueError("frame_bytes must be >= 1")
-    return (1.0 - ber) ** (BITS_PER_BYTE_ON_WIRE * frame_bytes)
+    return zero_draw_probability(BITS_PER_BYTE_ON_WIRE * frame_bytes, ber)
 
 
 def cumulative_path_success(
@@ -198,20 +203,26 @@ class CalibrationDiverged(Exception):
 _FREE_FIELDS = ("clear_water_attenuation", "turbidity_slope", "noise_sigma")
 
 
-def _transmitters(hop_count: int, node_ids) -> tuple[int, ...]:
-    """Ids transmitting on hop_count hops, default 0..hop_count-1."""
-    if node_ids is None:
-        return tuple(range(hop_count))
-    ids = tuple(node_ids)
+def _nominal_lengths(hop_count: int, node_ids) -> list[int]:
+    """hop_frame_lengths of the ids transmitting on hop_count hops, by
+    default 0..hop_count-1."""
+    ids = tuple(range(hop_count) if node_ids is None else node_ids)
     if len(ids) < hop_count:
         raise ValueError(f"need {hop_count} transmitting node ids, got {len(ids)}")
-    return ids[:hop_count]
+    return hop_frame_lengths(ids[:hop_count])
 
 
-def _ber_for_success(psr: float, frame_bytes: int) -> float:
-    """Inverse of packet_success: the BER at which frame_bytes survive with
-    probability psr (expm1 keeps precision for psr near 1)."""
-    return -math.expm1(math.log(psr) / (BITS_PER_BYTE_ON_WIRE * frame_bytes))
+def _signal_for_success(psr: float, frame_bytes: int) -> float:
+    """The x = rx / (2 sigma) at which frame_bytes survive with probability
+    psr: packet_success inverted for the BER (expm1 keeps precision for psr
+    near 1), then q_inverse.  Raises ValueError if that BER is 0.5 or more."""
+    ber = -math.expm1(math.log(psr) / (BITS_PER_BYTE_ON_WIRE * frame_bytes))
+    if ber >= 0.5:
+        raise ValueError(
+            f"PSR {psr} over {frame_bytes} bytes needs a BER of at least 0.5, "
+            "which no channel reaches"
+        )
+    return q_inverse(ber)
 
 
 def model_cumulative_psr(
@@ -222,8 +233,7 @@ def model_cumulative_psr(
     node_ids are the transmitting nodes' ids in hop order (they shape the
     frame sizes); the default 0..hop_count-1 matches the standard line.
     """
-    lengths = hop_frame_lengths(_transmitters(target.hop_count, node_ids))
-    return _path_psr(params, target, lengths)
+    return _path_psr(params, target, _nominal_lengths(target.hop_count, node_ids))
 
 
 def _path_psr(params: ChannelParams, target: CalibrationTarget, lengths) -> float:
@@ -286,7 +296,7 @@ def calibrate(
     The fit is closed form.  All hops of a target share one link (distance
     d = D/H, its turbidity, no extra loss), hence one BER, and the target
     PSR is (1 - ber)^(10 * sum of its frame lengths): inverting that gives
-    the BER, and q_inverse the required x = rx / (2 sigma).  Then
+    the required x = rx / (2 sigma) (_signal_for_success).  Then
 
         ln x = ln(source_lux / 2) - ln sigma - c0 * d - slope * NTU * d
 
@@ -319,16 +329,11 @@ def calibrate(
         raise ValueError(f"unknown fixed parameter(s): {sorted(unknown)}")
     base = replace(ChannelParams(), **fixed)
 
-    lengths = [hop_frame_lengths(_transmitters(t.hop_count, node_ids)) for t in targets]
-    log_x = []
-    for t, hop_lengths in zip(targets, lengths):
-        x = q_inverse(_ber_for_success(t.target_psr, sum(hop_lengths)))
-        if x <= 0:
-            raise ValueError(
-                f"target PSR {t.target_psr} needs a BER of at least 0.5, "
-                "which no channel reaches"
-            )
-        log_x.append(math.log(x))
+    lengths = [_nominal_lengths(t.hop_count, node_ids) for t in targets]
+    log_x = [
+        math.log(_signal_for_success(t.target_psr, sum(hop_lengths)))
+        for t, hop_lengths in zip(targets, lengths)
+    ]
     # y = a @ theta, theta = (c0, slope, ln sigma) in _FREE_FIELDS order
     y = np.array(log_x) - math.log(base.source_lux / 2.0)
     a = _design_matrix(targets)
@@ -388,9 +393,9 @@ def fit_link_loss_overrides(
 
     The fit is closed form, as in calibrate: hops 2..H share one distance,
     hence one BER, and must pass final_psr / first_hop_psr of the frames
-    that reach hop 2; inverting gives that BER, q_inverse the required
-    x = rx / (2 sigma), and so sigma.  Raises ValueError if hops 2..H differ
-    in distance or the anchors need a BER of 0.5 or more.
+    that reach hop 2; inverting gives the required x = rx / (2 sigma)
+    (_signal_for_success), and so sigma.  Raises ValueError if hops 2..H
+    differ in distance or either anchor needs a BER of 0.5 or more.
     """
     distances = tuple(distances)
     hops = len(distances)
@@ -400,21 +405,17 @@ def fit_link_loss_overrides(
         raise ValueError("hops 2..H must share one distance")
     if not 0.0 < final_psr < first_hop_psr < 1.0:
         raise ValueError("need 0 < final_psr < first_hop_psr < 1")
-    lengths = hop_frame_lengths(_transmitters(hops, node_ids))
+    lengths = _nominal_lengths(hops, node_ids)
 
-    ber_tail = _ber_for_success(final_psr / first_hop_psr, sum(lengths[1:]))
-    x = q_inverse(ber_tail)
-    if x <= 0:
-        raise ValueError("hop profile targets unreachable for these parameters")
+    x = _signal_for_success(final_psr / first_hop_psr, sum(lengths[1:]))
     sigma = attenuate(params, LinkSpec(distances[1], turbidity_ntu)) / (2.0 * x)
 
     adjusted = replace(params, noise_sigma=sigma)
     rx_clean = attenuate(adjusted, LinkSpec(distances[0], turbidity_ntu))
-    rx_needed = 2.0 * sigma * q_inverse(_ber_for_success(first_hop_psr, lengths[0]))
-    loss0 = rx_needed / rx_clean
-    if not 0.0 < loss0 <= 1.0:
+    rx_needed = 2.0 * sigma * _signal_for_success(first_hop_psr, lengths[0])
+    if rx_needed > rx_clean:
         raise ValueError(
-            f"first-hop extra_loss {loss0:.4g} falls outside (0, 1]; "
+            f"first hop needs {rx_needed:.4g} lux and receives {rx_clean:.4g}; "
             "first_hop_psr is better than the clean-link model allows"
         )
-    return adjusted, (loss0,) + (1.0,) * (hops - 1)
+    return adjusted, (rx_needed / rx_clean,) + (1.0,) * (hops - 1)

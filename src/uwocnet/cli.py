@@ -63,24 +63,24 @@ def _fmt(x: float) -> str:
 
 
 def render_psr_csv(reports: list[PsrReport], label: str) -> str:
+    # _fmt's spec for every float cell, in one format string per row.
+    line = "{},{:.6g},{},{:.6g},{},{},{:.6g},{:.6g},{:.6g}"
     lines = [CSV_HEADER]
-    for report in reports:
-        for hop in report.hops:
-            lines.append(
-                ",".join(
-                    (
-                        label,
-                        _fmt(report.turbidity_ntu),
-                        str(hop.hop_index),
-                        _fmt(hop.link_distance_m),
-                        str(hop.packets_attempted),
-                        str(hop.packets_delivered),
-                        _fmt(hop.per_hop_psr),
-                        _fmt(hop.cumulative_psr),
-                        _fmt(hop.rx_lux),
-                    )
-                )
-            )
+    lines += [
+        line.format(
+            label,
+            report.turbidity_ntu,
+            hop.hop_index,
+            hop.link_distance_m,
+            hop.packets_attempted,
+            hop.packets_delivered,
+            hop.per_hop_psr,
+            hop.cumulative_psr,
+            hop.rx_lux,
+        )
+        for report in reports
+        for hop in report.hops
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -225,7 +225,7 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     summary = [
         f"{delivered} of {config.rounds} rounds delivered "
         f"(cumulative PSR {report.final_cumulative_psr:.6f}) at "
-        f"{_fmt(turbidity)} NTU"
+        f"{_fmt(report.turbidity_ntu)} NTU"
     ]
     return config.output_path, render_monitor_csv(report, config.node_ids), summary
 

@@ -381,6 +381,13 @@ class Slot:
     end: float
 
 
+def slot_start(round_index, hop, hops: int, slot_duration: float):
+    """When hop's slot window opens in round round_index of a line of hops
+    hops: the one slot clock of schedule and both simulation engines.  It
+    uses operators only, so scalars and numpy arrays round alike."""
+    return round_index * (hops * slot_duration) + hop * slot_duration
+
+
 def schedule(
     node_ids,
     slot_duration: float,
@@ -391,9 +398,8 @@ def schedule(
 
     Hop i occupies slot window i: node i transmits while node i+1 receives.
     Windows are disjoint, so exactly one link is active at a time and each
-    node is in at most one slot per window.  Total round time is
-    hop_count * slot_duration, and round r starts at r * (hop_count *
-    slot_duration), summed in the order the simulation engines sum it.
+    node is in at most one slot per window.  Window i of the round opens
+    at slot_start(round_index, i, hop_count, slot_duration).
 
     Raises SlotTooShort when the worst-case frame (every node's record
     accumulated, every payload byte escaped) cannot be serialized at
@@ -411,10 +417,9 @@ def schedule(
             f"slot is {slot_duration:.6g} s"
         )
     hops = len(ids) - 1
-    t0 = round_index * (hops * slot_duration)
     slots: list[Slot] = []
     for i in range(hops):
-        start = t0 + i * slot_duration
+        start = slot_start(round_index, i, hops, slot_duration)
         end = start + slot_duration
         slots.append(Slot(ids[i], "tx", start, end))
         slots.append(Slot(ids[i + 1], "rx", start, end))

@@ -84,7 +84,9 @@ def derive_seed(seed: int, *words: int) -> int:
 
 
 def zero_draw_probability(n: int, p: float) -> float:
-    """P(Binomial(n, p) == 0) = (1-p)^n, without pow-loss."""
+    """P(Binomial(n, p) == 0) = (1-p)^n for p in [0, 1], without pow-loss."""
+    if p == 1.0:
+        return 0.0 if n else 1.0
     return math.exp(n * math.log1p(-p))
 
 

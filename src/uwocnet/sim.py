@@ -33,7 +33,6 @@ for every partition.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -201,8 +200,9 @@ def transmit_over_link(
 
 
 def scenario_seed(root_seed: int, turbidity_ntu: float) -> int:
-    """Per-turbidity child seed, independent of sweep-list position."""
-    (bits,) = struct.unpack("<Q", struct.pack("<d", float(turbidity_ntu)))
+    """Per-turbidity child seed, independent of sweep-list position; -0.0
+    is the same turbidity as 0.0."""
+    (bits,) = struct.unpack("<Q", struct.pack("<d", float(turbidity_ntu) + 0.0))
     return derive_seed(root_seed, _SCENARIO_TAG, bits)
 
 
@@ -223,16 +223,14 @@ def _simulate_rounds(
     delivered = [0] * hops
     frame_bytes_sum = [0] * hops
     monitor: list[MonitorRow] = []
-    round_time = hops * slot_duration
     # NodeStates are immutable values: every round starts from the same
     # idle template, so the list is rebuilt by copy, not reconstruction.
     template = topology.node_states(profile)
 
     for rnd in range(first_round, last_round):
         states = list(template)
-        t0 = rnd * round_time
         for h in range(hops):
-            start = t0 + h * slot_duration
+            start = nd.slot_start(rnd, h, hops, slot_duration)
             end = start + slot_duration
             tx_state, actions = nd.step(states[h], nd.SlotStart("tx", start))
             states[h] = nd.step(tx_state, nd.SlotEnd(end))[0]
@@ -278,10 +276,9 @@ def _readings(
     transmitters' fixed-point readings, of shape (rounds, hops).
     """
     hops = topology.hop_count
-    t0 = rnd * (hops * slot_duration)
     # The originator reads at its tx slot start, a relay or the sink at the
-    # end of its rx slot, each time summed as the state machine sums it.
-    starts = t0[:, None] + np.arange(hops) * slot_duration
+    # end of its rx slot.
+    starts = nd.slot_start(rnd[:, None], np.arange(hops), hops, slot_duration)
     clocks = np.column_stack((starts[:, 0], starts + slot_duration))
     ids = np.array(topology.node_ids[:-1])
     return clocks, nd.sensor_raw(ids, clocks[:, :-1], profile)
@@ -304,10 +301,12 @@ def _block_outcomes(
     nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
 
     # A hop delivers when Substream.binomial draws zero flips: one uniform
-    # per chunk of at most BINOMIAL_CHUNK bits, none above its chunk's
-    # threshold.  Each hop's frame is its shortest in the block plus 0..E
-    # escape bytes, so each chunk's thresholds are scalar math once per
-    # (extra bytes, hop), looked up by every cell: a table, no sort.
+    # per chunk of at most BINOMIAL_CHUNK bits, none above the chunk's
+    # zero-draw probability (1.0 for 0 bits or BER 0, which no uniform in
+    # [0, 1) exceeds; BER 1 cannot occur, as OOK's BER is at most 0.5).
+    # Each hop's frame is its shortest in the block plus 0..E escape bytes,
+    # so each chunk's thresholds are scalar math once per (extra bytes,
+    # hop), looked up by every cell: a table, no sort.
     rounds_states = derive_states(seed, _LINK_STREAM_TAG, rnd)
     hop = np.arange(hops)
     states = derive_states(rounds_states[:, None], hop)
@@ -319,7 +318,7 @@ def _block_outcomes(
     for c in range(-(-BITS_PER_BYTE_ON_WIRE * int(nbytes.max()) // BINOMIAL_CHUNK)):
         m = np.clip(frame_bits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK).tolist()
         table = np.array(
-            [[_zero_flip_threshold(b, ber) for b, ber in zip(row, bers)] for row in m]
+            [[zero_draw_probability(b, ber) for b, ber in zip(row, bers)] for row in m]
         )
         ok &= ~(uniform_at(states, c) > table[extra, hop])
     live = np.ones(ok.shape, dtype=bool)
@@ -349,16 +348,6 @@ def _monitor_rows(
     columns = fr.raw_to_temperature(raw[done]).T.tolist()
     columns.append(nd.sensor_temperatures(topology.node_ids[-1], times, profile))
     return list(map(MonitorRow, rnd[done].tolist(), times.tolist(), zip(*columns)))
-
-
-def _zero_flip_threshold(bits: int, ber: float) -> float:
-    """The uniform at or below which a chunk of `bits` trials has no flip,
-    as Substream.binomial decides it."""
-    if bits == 0 or ber <= 0.0:
-        return math.inf  # no chunk, or binomial returns 0 without a draw
-    if ber >= 1.0:
-        return -math.inf
-    return zero_draw_probability(bits, ber)
 
 
 def _count_rounds(
@@ -443,39 +432,30 @@ def run_scenario(
     # then place round r's windows as schedule(..., r) does.
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
 
-    hops = topology.hop_count
     bounds = [rounds * i // workers for i in range(workers + 1)]
-    attempted = [0] * hops
-    delivered = [0] * hops
-    frame_sum = [0] * hops
-    monitor: list[MonitorRow] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            continue
-        a, d, f, m = _count_rounds(
+    parts = [
+        _count_rounds(
             topology, params, seed, lo, hi, slot_duration, profile, collect_monitor
         )
-        for h in range(hops):
-            attempted[h] += a[h]
-            delivered[h] += d[h]
-            frame_sum[h] += f[h]
-        monitor.extend(m)
-
-    hop_stats = []
-    for h in range(hops):
-        lux = attenuate(params, topology.links[h])
-        hop_stats.append(
-            HopStats(
-                hop_index=h,
-                link_distance_m=topology.links[h].distance_m,
-                packets_attempted=attempted[h],
-                packets_delivered=delivered[h],
-                per_hop_psr=delivered[h] / attempted[h] if attempted[h] else 0.0,
-                cumulative_psr=delivered[h] / rounds,
-                rx_lux=lux,
-                mean_frame_bytes=frame_sum[h] / attempted[h] if attempted[h] else 0.0,
-            )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if lo < hi
+    ]
+    attempted, delivered, frame_sum = np.sum([p[:3] for p in parts], axis=0).tolist()
+    hop_stats = [
+        HopStats(
+            hop_index=h,
+            link_distance_m=link.distance_m,
+            packets_attempted=a,
+            packets_delivered=d,
+            per_hop_psr=d / a if a else 0.0,
+            cumulative_psr=d / rounds,
+            rx_lux=attenuate(params, link),
+            mean_frame_bytes=f / a if a else 0.0,
         )
+        for h, (link, a, d, f) in enumerate(
+            zip(topology.links, attempted, delivered, frame_sum)
+        )
+    ]
     turbidities = {l.turbidity_ntu for l in topology.links}
     report_ntu = (
         topology.links[0].turbidity_ntu if len(turbidities) == 1 else float("nan")
@@ -485,7 +465,9 @@ def run_scenario(
         rounds=rounds,
         seed=seed,
         hops=hop_stats,
-        monitor_rows=tuple(monitor) if collect_monitor else None,
+        monitor_rows=(
+            tuple(row for p in parts for row in p[3]) if collect_monitor else None
+        ),
     )
 
 

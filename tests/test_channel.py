@@ -357,6 +357,15 @@ def test_calibrate_paper_anchors_exact_with_default_c0_held():
     assert held.turbidity_slope == pytest.approx(params.turbidity_slope, rel=1e-9)
 
 
+@pytest.mark.parametrize("ids", [None, (1, 2, 3, 4), (0x7D, 0, 5, 6)])
+def test_calibrate_inverts_the_closed_form_to_rounding(ids):
+    # calibrate inverts the very survival law model_cumulative_psr evaluates
+    params = calibrate(PAPER_TARGETS, node_ids=ids)
+    for target in PAPER_TARGETS:
+        residual = model_cumulative_psr(params, target, ids) - target.target_psr
+        assert abs(residual) <= 4e-15
+
+
 def test_calibrate_unidentifiable_targets_raise():
     # equal NTU * distance-per-hop: slope and sigma stay confounded with c0 held
     targets = [
@@ -398,6 +407,15 @@ def test_fit_link_loss_overrides_rejects_impossible_profile():
     params = calibrate(PAPER_TARGETS)
     with pytest.raises(ValueError):
         fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.89, 0.91)
+
+
+def test_fit_link_loss_overrides_first_hop_guards():
+    # 8 bytes surviving with probability 1e-30 needs a BER above 0.5
+    with pytest.raises(ValueError, match="BER of at least 0.5"):
+        fit_link_loss_overrides(ChannelParams(), [4.0] * 4, 70.0, 1e-30, 1e-31)
+    # a first hop so long that no light arrives cannot meet any anchor
+    with pytest.raises(ValueError, match="better than the clean-link model"):
+        fit_link_loss_overrides(ChannelParams(), [1e5, 4.0], 70.0, 0.91, 0.89)
 
 
 def test_fit_link_loss_overrides_input_validation():

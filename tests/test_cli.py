@@ -392,6 +392,19 @@ def test_sweep_seed_flag_changes_output(lossy_cfg, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["sweep", "monitor"])
+def test_negative_zero_turbidity_is_zero(command, lossy_cfg, tmp_path, capsys):
+    # -0 is the value 0: the same seed, printed as 0, so the same bytes
+    out = tmp_path / "out.csv"
+    outputs = []
+    for value in ("-0", "0"):
+        argv = [command, "--config", str(lossy_cfg), f"--turbidity={value}"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert b",-0," not in outputs[0][0]
+
+
 # sha256 of `uwocnet sweep --turbidity 0.01,35,70 --rounds 3000`, recorded
 # before the commands shared one path; the label is the config's stem.
 SWEEP_GOLDEN = {

@@ -263,6 +263,17 @@ def test_sweep_order_matches_input_and_value_keyed_seeds():
     assert forward[1] == backward[0]
 
 
+def test_sweep_negative_zero_turbidity_is_zero():
+    # -0.0 == 0.0 is one scenario: the same seed, reported as 0.0
+    params = lossy_params(0.93)
+    topo = linear_topology(range(4))
+    [negative] = sweep(topo, params, [-0.0], 800, seed=1, profile=QUIET)
+    [zero] = sweep(topo, params, [0.0], 800, seed=1, profile=QUIET)
+    assert negative.hops == zero.hops
+    assert repr(negative.turbidity_ntu) == "0.0"
+    assert scenario_seed(1, -0.0) == scenario_seed(1, 0.0)
+
+
 def test_sweep_monotone_in_turbidity():
     # strong turbidity sensitivity so each NTU step dwarfs counting noise
     params = ChannelParams(1000.0, 0.7, 0.004, noise_sigma=18.0)
