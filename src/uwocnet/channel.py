@@ -54,14 +54,14 @@ class ChannelParams:
     noise_sigma: float = 1.0  # lux-equivalent RMS receiver noise, > 0
 
     def __post_init__(self) -> None:
-        fields = (
+        values = (
             self.source_lux,
             self.clear_water_attenuation,
             self.turbidity_slope,
             self.ambient_lux,
             self.noise_sigma,
         )
-        if not all(math.isfinite(v) for v in fields):
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("channel parameters must be finite")
         if self.source_lux <= 0:
             raise ValueError("source_lux must be > 0")
@@ -188,6 +188,8 @@ class CalibrationTarget:
             raise ValueError("hop_count must be >= 1")
         if not 0.0 < self.target_psr < 1.0:
             raise ValueError("target_psr must be in (0, 1)")
+        # -0.0 NTU is clear water, stored as 0.0 so it prints as 0.
+        object.__setattr__(self, "turbidity_ntu", self.turbidity_ntu + 0.0)
 
 
 class CalibrationDiverged(Exception):

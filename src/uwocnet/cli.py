@@ -28,7 +28,7 @@ from .config import (
     parse_config,
 )
 from .frame import RecordOutOfRange
-from .sim import PsrReport, run_scenario, scenario_seed, sweep
+from .sim import PsrReport, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,8 +105,7 @@ def _load_config(args) -> ScenarioConfig:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     config = parse_config(text)
     if args.seed is not None:
-        sensor = replace(config.sensor, seed=args.seed)
-        config = replace(config, seed=args.seed, sensor=sensor)
+        config = replace(config, sensor=replace(config.sensor, seed=args.seed))
     if args.rounds is not None:
         config = replace(config, rounds=args.rounds)
     return config
@@ -210,11 +209,12 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     turbidity, *rest = _parse_turbidities(args, default=[0.01])
     if rest:
         raise UsageError(f"monitor takes one --turbidity value: {args.turbidity!r}")
-    report = run_scenario(
-        config.topology(turbidity),
+    (report,) = sweep(
+        config.topology(),
         config.channel,
+        [turbidity],
         config.rounds,
-        scenario_seed(config.seed, turbidity),
+        config.seed,
         slot_duration=config.slot_duration(),
         bit_rate=config.bit_rate,
         profile=config.sensor,
@@ -247,7 +247,7 @@ def build_parser() -> _Parser:
         common(p)
         p.add_argument(
             "--workers", type=int, default=1,
-            help="split rounds into N partitions, run in order (same output)",
+            help="count rounds in blocks of at most rounds/N (same output)",
         )
 
     p_cal = sub.add_parser("calibrate", help="fit channel parameters to PSR targets")

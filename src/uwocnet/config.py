@@ -47,12 +47,16 @@ class ScenarioConfig:
     rounds: int = DEFAULT_ROUNDS
     slot_duration_s: float | None = None  # None = auto-sized to worst-case frame
     sensor: SensorProfile = field(default_factory=SensorProfile)
-    seed: int = 0
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+
+    @property
+    def seed(self) -> int:
+        """The root seed: the `seed` key, held by the sensor profile."""
+        return self.sensor.seed
 
     def topology(self, turbidity_ntu: float = 0.0) -> Topology:
         return linear_topology(
@@ -189,11 +193,10 @@ def parse_config(text: str) -> ScenarioConfig:
         slot = scalar("traffic.slot_duration", float, None)
         _checked("traffic.slot_duration", schedule, node_ids, slot, 0, bit_rate)
 
-    seed = scalar("seed", int, 0)
     sensor = _checked(
         "sensor",
         SensorProfile,
-        seed=seed,
+        seed=scalar("seed", int, 0),
         **{
             f.name: scalar(f"sensor.{f.name}", float, f.default)
             for f in _SENSOR_FIELDS
@@ -212,7 +215,6 @@ def parse_config(text: str) -> ScenarioConfig:
         rounds=scalar("traffic.rounds", int, DEFAULT_ROUNDS),
         slot_duration_s=slot,
         sensor=sensor,
-        seed=seed,
         output_path=raw.get("output.path", "results.csv"),
     )
 

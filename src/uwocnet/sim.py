@@ -23,12 +23,12 @@ row is the transmitters' readings at wire resolution plus the sink's own
 reading, built per block from the same readings; the sink's noise words
 are drawn per block as well, and only libm's sin/log/cos run per row.  The
 reference engine is the differential oracle of the tests and, on every
-call, a canary: the counting engine replays its first round through it and
+run, a canary: the counting engine replays its first round through it and
 raises RuntimeError if the counts or that round's monitor row disagree.
 
-Rounds are mutually independent: workers=N splits them into N partitions,
-run one after another in this process, and the results are bit-identical
-for every partition.
+Rounds are mutually independent: workers=N counts them in blocks of at most
+ceil(rounds / N), in one pass in this process, and the output is
+bit-identical for every N.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class HopStats:
     mean_frame_bytes: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonitorRow:
     round_index: int
     time_s: float
@@ -359,8 +359,10 @@ def _count_rounds(
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
+    partitions: int = 1,
 ) -> tuple[list[int], list[int], list[int], list[MonitorRow]]:
-    """The results of _simulate_rounds, computed in blocks of rounds."""
+    """The results of _simulate_rounds, in blocks of at most
+    ceil(rounds / partitions) rounds."""
     *canary, canary_rows = _simulate_rounds(
         topology, params, seed, first_round, first_round + 1, slot_duration,
         profile, collect_monitor,
@@ -368,7 +370,8 @@ def _count_rounds(
     bers = [link_ber(params, link) for link in topology.links]
     totals = np.zeros((3, topology.hop_count), dtype=np.int64)
     monitor: list[MonitorRow] = []
-    block = max(1, _BLOCK_CELLS // topology.hop_count)
+    part = -(-(last_round - first_round) // partitions)
+    block = max(1, min(_BLOCK_CELLS // topology.hop_count, part))
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
@@ -416,10 +419,10 @@ def run_scenario(
     slot_duration defaults to the smallest slot that fits the worst-case
     frame at bit_rate.  The counting engine computes the counts and, with
     collect_monitor, the sink's log of every delivered round, exactly as the
-    reference engine would (see the module docstring).
-    workers > 1 splits the rounds into that many partitions, run in order;
-    the per-(round, hop) substreams make every partition bit-identical to
-    one.
+    reference engine would (see the module docstring), in one pass that
+    replays one round through the reference engine.  workers caps a block
+    at ceil(rounds / workers) rounds; the per-(round, hop) substreams make
+    the output bit-identical for every workers.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -432,15 +435,10 @@ def run_scenario(
     # then place round r's windows as schedule(..., r) does.
     nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
 
-    bounds = [rounds * i // workers for i in range(workers + 1)]
-    parts = [
-        _count_rounds(
-            topology, params, seed, lo, hi, slot_duration, profile, collect_monitor
-        )
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if lo < hi
-    ]
-    attempted, delivered, frame_sum = np.sum([p[:3] for p in parts], axis=0).tolist()
+    attempted, delivered, frame_sum, rows = _count_rounds(
+        topology, params, seed, 0, rounds, slot_duration, profile,
+        collect_monitor, workers,
+    )
     hop_stats = [
         HopStats(
             hop_index=h,
@@ -465,9 +463,7 @@ def run_scenario(
         rounds=rounds,
         seed=seed,
         hops=hop_stats,
-        monitor_rows=(
-            tuple(row for p in parts for row in p[3]) if collect_monitor else None
-        ),
+        monitor_rows=tuple(rows) if collect_monitor else None,
     )
 
 

@@ -405,6 +405,34 @@ def test_negative_zero_turbidity_is_zero(command, lossy_cfg, tmp_path, capsys):
     assert b",-0," not in outputs[0][0]
 
 
+def test_calibrate_negative_zero_target_is_zero(base_cfg, tmp_path, capsys):
+    # a -0 NTU target is the 0 NTU target: the same fit, reported as 0
+    out = tmp_path / "fitted.cfg"
+    outputs = []
+    for value in ("-0", "0"):
+        targets = [f"--target={value}:16:4:0.95", "--target", "70:16:4:0.89"]
+        argv = ["calibrate", "--config", str(base_cfg), *targets]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "target 0 NTU" in outputs[0][1]
+
+
+def test_explicit_auto_slot_duration_matches_auto(tmp_path):
+    # traffic.slot_duration set to the auto-sized value is the auto run
+    auto = parse_config(LOSSY_CONFIG).slot_duration()
+    outputs = []
+    for slot in ("auto", repr(auto)):
+        cfg = tmp_path / "slot.cfg"
+        cfg.write_text(LOSSY_CONFIG + f"traffic.slot_duration = {slot}\n")
+        out = tmp_path / f"{slot}.csv"
+        argv = ["sweep", "--config", str(cfg), "--turbidity", "10,40"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert parse_config(cfg.read_text()).slot_duration_s == auto
+    assert outputs[0] == outputs[1]
+
+
 # sha256 of `uwocnet sweep --turbidity 0.01,35,70 --rounds 3000`, recorded
 # before the commands shared one path; the label is the config's stem.
 SWEEP_GOLDEN = {
@@ -598,6 +626,7 @@ def test_bad_turbidity_list(base_cfg):
 THREE_NODES = "topology.nodes = 0:180, 1:170, 2:154\ntraffic.rounds = 50\n"
 SWEEP = ["sweep", "--turbidity", "1"]
 HOT_SENSOR = "sensor.baseline_c = 84.99\nsensor.noise_std_c = 1.0"
+CALIBRATE = ["calibrate", "--target", "0.01:16:2:0.95"]
 
 
 @pytest.mark.parametrize(
@@ -620,6 +649,9 @@ HOT_SENSOR = "sensor.baseline_c = 84.99\nsensor.noise_std_c = 1.0"
         (HOT_SENSOR, ["monitor"], EXIT_FAILURE, "simulation failed: temperature"),
         # monitor runs one turbidity: a list is refused, not cut to its first value
         ("", ["monitor", "--turbidity", "0.01,70"], EXIT_USAGE, "error:"),
+        ("", ["sweep", "--turbidity", ","], EXIT_USAGE, "error: --turbidity"),
+        ("", CALIBRATE + ["--fix", "noise_sigma"], EXIT_USAGE, "error: --fix"),
+        ("", CALIBRATE + ["--fix", "noise_sigma=x"], EXIT_USAGE, "error: bad --fix"),
     ],
 )
 def test_bad_input_exits_with_one_error_line(

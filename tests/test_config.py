@@ -1,6 +1,7 @@
 """Scenario config parsing, validation, defaults, and round-tripping."""
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -132,6 +133,30 @@ def test_bad_node_entries():
         parse_config("topology.nodes = 0:180, 1:180\n")  # duplicate key
     with pytest.raises(ValidationError):
         parse_config("topology.nodes = 0:0, 1:170\n")  # reserved key byte
+
+
+@pytest.mark.parametrize(
+    "text, line, reason",
+    [
+        (MINIMAL + "traffic.rounds = ten\n", 3, "cannot parse 'ten' as int"),
+        (MINIMAL + "topology.extra_loss = 1, x\n", 3, "as numbers"),
+        (MINIMAL + "channel.bit_rate =\n", 3, "empty value"),
+        ("topology.nodes = 0:180, x:170\n", 1, "bad node entry 'x:170'"),
+    ],
+)
+def test_unparsable_values_cite_line(text, line, reason):
+    with pytest.raises(ParseError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert reason in exc.value.reason
+
+
+def test_seed_is_the_sensor_seed():
+    # one seed: the `seed` key lives in the sensor profile alone
+    cfg = parse_config(MINIMAL)
+    assert "seed" not in {f.name for f in fields(ScenarioConfig)}
+    assert cfg.seed == cfg.sensor.seed == 7
+    assert "seed = 7\n" in emit_config(cfg)
 
 
 def test_channel_values_validated():

@@ -293,6 +293,25 @@ def test_partitions_monitor_rows_equal(workers):
     assert_monitor_agrees(topo, ANCHOR, 1001, 8, workers=workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_one_canary_round_per_run(workers, monkeypatch):
+    # workers only sizes the counting blocks: one pass, one round replayed
+    # through the reference engine, the same report as workers=1
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
+    simulate = sim._simulate_rounds
+    replayed = []
+
+    def counted(topology, params, seed, first_round, last_round, *rest):
+        replayed.append(last_round - first_round)
+        return simulate(topology, params, seed, first_round, last_round, *rest)
+
+    monkeypatch.setattr(sim, "_simulate_rounds", counted)
+    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
+    assert replayed == [1]
+    assert report == serial
+
+
 def test_many_blocks_monitor_rows_equal(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
     topo = linear_topology(range(5), turbidity_ntu=70.0)
