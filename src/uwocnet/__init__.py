@@ -47,7 +47,6 @@ from .node import (
     NodeState,
     ProtocolViolation,
     SensorProfile,
-    SensorReading,
     SlotEnd,
     SlotStart,
     SlotTooShort,

@@ -228,14 +228,6 @@ def unescape_payload(data: bytes | bytearray) -> bytes:
     return bytes(out)
 
 
-def _frame_unchecked(keys: tuple[int, ...], records: tuple[SensorRecord, ...]) -> Frame:
-    # Internal fast path for inputs already validated by the caller.
-    f = object.__new__(Frame)
-    object.__setattr__(f, "key_chain", keys)
-    object.__setattr__(f, "records", records)
-    return f
-
-
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame: header, sync, keys, escaped records, end byte."""
     out = bytearray((HEADER_BYTE, SYNC_BYTE))
@@ -257,8 +249,9 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
     expected_keys is the full key chain the receiver expects on this link
     (known from the static topology; the wire has no count field).
 
-    Raises BadHeader, AuthMismatch, TruncatedFrame, MalformedEscape or
-    BadPayloadLength.
+    Raises BadHeader, AuthMismatch, TruncatedFrame, MalformedEscape,
+    BadPayloadLength or RecordOutOfRange (a record no encoder writes: id
+    0xFF, or raw above 32000).
     """
     expected = tuple(expected_keys)
     if len(expected) < 1:
@@ -286,17 +279,21 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
         )
     records = []
     for off in range(0, len(payload), _BYTES_PER_RECORD):
+        node_id = payload[off]
         raw = (payload[off + 1] << 8) | payload[off + 2]
-        records.append(SensorRecord(payload[off], raw_to_temperature(raw)))
-    return _frame_unchecked(expected, tuple(records))
+        if node_id == 0xFF or raw > _RAW_MAX:
+            raise RecordOutOfRange(
+                f"record at payload byte {off}: node id {node_id}, raw {raw}"
+            )
+        records.append(SensorRecord(node_id, raw_to_temperature(raw)))
+    return Frame(expected, records)
 
 
 def append_hop(frame: Frame, key: int, record: SensorRecord) -> Frame:
     """Return a new frame extended with this hop's key and record."""
-    validate_auth_key(key)
     if key in frame.key_chain:
         raise DuplicateKey(f"key {key} already present in chain")
-    return _frame_unchecked(frame.key_chain + (key,), frame.records + (record,))
+    return Frame(frame.key_chain + (key,), frame.records + (record,))
 
 
 # Temperature whose fixed-point bytes (0x3C, 0x80) never need escaping:

@@ -5,8 +5,8 @@ slot, authenticate it against the expected key chain, append its own key
 and a fresh sensor reading, and transmit downstream in its tx slot.  The
 first node on the line originates frames instead of receiving; the last
 node delivers to the monitor instead of transmitting.  A frame that fails
-authentication (or never arrives) is dropped for the round - there are no
-retransmissions or NACKs.
+to decode or to authenticate (or never arrives) is dropped for the round -
+there are no retransmissions or NACKs.
 
 step() is a pure function of (state, event): it returns a new state plus
 the actions the node emits, never mutating its inputs, so replaying an
@@ -50,6 +50,7 @@ class DropReason(Enum):
     TRUNCATED = "truncated"
     MALFORMED_ESCAPE = "malformed_escape"
     BAD_PAYLOAD_LENGTH = "bad_payload_length"
+    BAD_RECORD = "bad_record"
 
 
 _DROP_REASONS = {
@@ -58,6 +59,7 @@ _DROP_REASONS = {
     fr.TruncatedFrame: DropReason.TRUNCATED,
     fr.MalformedEscape: DropReason.MALFORMED_ESCAPE,
     fr.BadPayloadLength: DropReason.BAD_PAYLOAD_LENGTH,
+    fr.RecordOutOfRange: DropReason.BAD_RECORD,
 }
 
 
@@ -89,15 +91,11 @@ class SensorProfile:
             raise ValueError("noise_std_c must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
-class SensorReading:
-    node_id: int
-    temperature_c: float
-    timestamp_s: float
+def sample_sensor(node_id: int, clock: float, profile: SensorProfile) -> fr.SensorRecord:
+    """The record node_id appends at time clock.
 
-
-def sample_sensor(node_id: int, clock: float, profile: SensorProfile) -> SensorReading:
-    """Deterministic reading: identical (seed, node_id, clock) -> identical value."""
+    Deterministic: identical (seed, node_id, clock) -> identical value.
+    """
     temp = profile.baseline_c + profile.amplitude_c * math.sin(
         2.0 * math.pi * clock / profile.period_s
     )
@@ -105,7 +103,7 @@ def sample_sensor(node_id: int, clock: float, profile: SensorProfile) -> SensorR
         (clock_bits,) = struct.unpack("<Q", struct.pack("<d", clock))
         stream = Substream(profile.seed, _SENSOR_STREAM_TAG, node_id, clock_bits)
         temp += profile.noise_std_c * stream.gauss()
-    return SensorReading(node_id, temp, clock)
+    return fr.SensorRecord(node_id, temp)
 
 
 def _noise_words(node_ids, clocks: np.ndarray, profile: SensorProfile):
@@ -171,8 +169,8 @@ def sensor_raw(node_ids, clocks: np.ndarray, profile: SensorProfile) -> np.ndarr
     if redo.any():
         ids = np.broadcast_to(node_ids, raw.shape)
         for i in zip(*np.nonzero(redo)):
-            reading = sample_sensor(int(ids[i]), float(clocks[i]), profile)
-            raw[i] = round(fr.fixed_point(reading.temperature_c))
+            record = sample_sensor(int(ids[i]), float(clocks[i]), profile)
+            raw[i] = round(fr.fixed_point(record.temperature_c))
     return raw
 
 
@@ -252,7 +250,6 @@ class NodeState:
     phase: Phase = Phase.IDLE
     rx_buffer: bytes = b""
     pending_frame: fr.Frame | None = None
-    clock: float = 0.0
 
     def __post_init__(self) -> None:
         fr.validate_auth_key(self.own_key)
@@ -264,31 +261,21 @@ class NodeState:
 
 def _advance(
     state: NodeState,
-    *,
     phase: Phase,
-    clock: float,
     rx_buffer: bytes = b"",
     pending_frame: fr.Frame | None = None,
 ) -> NodeState:
-    # Transition fast path: identity fields are copied unchanged from an
-    # already-validated state, so __init__/__post_init__ are skipped.
-    new = object.__new__(NodeState)
-    set_ = object.__setattr__
-    set_(new, "node_id", state.node_id)
-    set_(new, "role", state.role)
-    set_(new, "own_key", state.own_key)
-    set_(new, "expected_upstream_keys", state.expected_upstream_keys)
-    set_(new, "profile", state.profile)
-    set_(new, "phase", phase)
-    set_(new, "rx_buffer", rx_buffer)
-    set_(new, "pending_frame", pending_frame)
-    set_(new, "clock", clock)
-    return new
-
-
-def _own_record(state: NodeState, time: float) -> fr.SensorRecord:
-    reading = sample_sensor(state.node_id, time, state.profile)
-    return fr.SensorRecord(reading.node_id, reading.temperature_c)
+    """state in phase, its identity fields passed through NodeState's checks."""
+    return NodeState(
+        state.node_id,
+        state.role,
+        state.own_key,
+        state.expected_upstream_keys,
+        state.profile,
+        phase,
+        rx_buffer,
+        pending_frame,
+    )
 
 
 def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction]]:
@@ -303,19 +290,20 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
             if state.role is NodeRole.SINK:
                 raise ProtocolViolation("a sink never transmits")
             if state.role is NodeRole.ORIGINATOR:
-                frame = fr.Frame((state.own_key,), (_own_record(state, event.time),))
-                new = _advance(state, phase=Phase.TRANSMITTING, clock=event.time)
+                record = sample_sensor(state.node_id, event.time, state.profile)
+                frame = fr.Frame((state.own_key,), (record,))
+                new = _advance(state, Phase.TRANSMITTING)
                 return new, [TransmitBytes(fr.encode_frame(frame))]
             if state.pending_frame is None:
                 # Nothing survived the rx slot; hold the slot silently.
-                return _advance(state, phase=Phase.IDLE, clock=event.time), []
+                return _advance(state, Phase.IDLE), []
             data = fr.encode_frame(state.pending_frame)
-            new = _advance(state, phase=Phase.TRANSMITTING, clock=event.time)
+            new = _advance(state, Phase.TRANSMITTING)
             return new, [TransmitBytes(data)]
         if event.kind == "rx":
             if state.role is NodeRole.ORIGINATOR:
                 raise ProtocolViolation("an originator never receives")
-            return _advance(state, phase=Phase.RECEIVING, clock=event.time), []
+            return _advance(state, Phase.RECEIVING), []
         raise ProtocolViolation(f"unknown slot kind {event.kind!r}")
 
     if event_type is BytesArrived:
@@ -325,21 +313,13 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
             raise ProtocolViolation(
                 f"node {state.node_id}: bytes outside an rx slot"
             )
-        return (
-            _advance(
-                state,
-                phase=Phase.RECEIVING,
-                clock=event.time,
-                rx_buffer=state.rx_buffer + event.data,
-            ),
-            [],
-        )
+        return _advance(state, Phase.RECEIVING, state.rx_buffer + event.data), []
 
     if event_type is SlotEnd:
         if state.phase is Phase.TRANSMITTING:
-            return _advance(state, phase=Phase.IDLE, clock=event.time), []
+            return _advance(state, Phase.IDLE), []
         if state.phase is Phase.RECEIVING:
-            idle = _advance(state, phase=Phase.IDLE, clock=event.time)
+            idle = _advance(state, Phase.IDLE)
             if not state.rx_buffer:
                 return idle, [DropPacket(DropReason.TIMEOUT, "empty rx slot")]
             try:
@@ -349,19 +329,12 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
                 if reason is None:
                     raise
                 return idle, [DropPacket(reason, str(exc))]
-            extended = fr.append_hop(frame, state.own_key, _own_record(state, event.time))
+            record = sample_sensor(state.node_id, event.time, state.profile)
+            extended = fr.append_hop(frame, state.own_key, record)
             if state.role is NodeRole.SINK:
                 return idle, [DeliverToMonitor(extended, event.time)]
-            return (
-                _advance(
-                    state,
-                    phase=Phase.IDLE,
-                    clock=event.time,
-                    pending_frame=extended,
-                ),
-                [],
-            )
-        return _advance(state, phase=Phase.IDLE, clock=event.time), []
+            return _advance(state, Phase.IDLE, pending_frame=extended), []
+        return _advance(state, Phase.IDLE), []
 
     raise ProtocolViolation(f"unknown event {event!r}")
 

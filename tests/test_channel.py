@@ -152,6 +152,19 @@ def test_q_inverse_precision_against_mpmath():
     assert q_inverse(5e-324) == pytest.approx(38.4674, abs=1e-4)
 
 
+def test_closed_form_input_validation():
+    for p in (0.0, 1.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            q_inverse(p)
+    with pytest.raises(ValueError):
+        ook_ber(-1.0, params_with())
+    for ber, nbytes in ((-0.1, 10), (1.5, 10), (0.01, 0)):
+        with pytest.raises(ValueError):
+            packet_success(ber, nbytes)
+    with pytest.raises(ValueError, match="one frame length per link"):
+        cumulative_path_success(params_with(), [LinkSpec(4.0)] * 2, [10])
+
+
 def test_ber_range_and_monotonicity():
     p = params_with()
     prev = 0.5
@@ -314,6 +327,11 @@ def test_calibrate_input_validation():
         calibrate([(0.01, 16, 2.5, 0.95), (70, 16, 4, 0.89)])
     with pytest.raises(ValueError, match="hop_count"):
         calibrate([(0.01, 4.0, True, 0.97)])  # not one hop
+    with pytest.raises(ValueError, match="hop_count must be >= 1"):
+        CalibrationTarget(0.01, 16.0, 0, 0.95)
+    for psr in (0.0, 1.0):
+        with pytest.raises(ValueError, match="target_psr"):
+            CalibrationTarget(0.01, 16.0, 4, psr)
 
 
 def test_calibrate_diverges_on_contradictory_targets():
@@ -426,6 +444,8 @@ def test_fit_link_loss_overrides_input_validation():
     # one transmitting node id per hop; ids beyond the last hop are unused
     with pytest.raises(ValueError, match="node ids"):
         fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.91, 0.89, node_ids=[0, 1])
+    with pytest.raises(ValueError, match="at least two hops"):
+        fit_link_loss_overrides(params, [4.0], 70.0, 0.91, 0.89)
     assert fit_link_loss_overrides(
         params, [4.0] * 4, 70.0, 0.91, 0.89, node_ids=range(6)
     ) == fit_link_loss_overrides(params, [4.0] * 4, 70.0, 0.91, 0.89)

@@ -498,8 +498,8 @@ def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     topo = linear_topology(range(5), turbidity_ntu=0.01)
     report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
     assert len(report.monitor_rows) > 1800
-    assert set(callers) <= {"_own_record", "sensor_raw"}
-    assert callers.count("_own_record") <= len(topo.node_ids)
+    assert set(callers) <= {"step", "sensor_raw"}
+    assert callers.count("step") <= len(topo.node_ids)
     assert len(callers) < 20
 
 

@@ -217,6 +217,8 @@ def test_decode_roundtrip_1000_random_frames():
         (bytes([255, 80, 180, 0x41, 0x7D, 0x00]), MalformedEscape),
         (bytes([255, 80, 180, 0x41, 0x00]), BadPayloadLength),
         (bytes([255, 80, 180, 0x41, 0x42, 0x00]), BadPayloadLength),
+        (bytes.fromhex("ff50b47ddf3c8000"), RecordOutOfRange),  # node id 0xFF
+        (bytes.fromhex("ff50b4017ddf7ddf00"), RecordOutOfRange),  # raw > 32000
     ],
 )
 def test_decode_error_taxonomy(data, err):
@@ -274,6 +276,17 @@ def test_append_hop_accumulates():
 def test_append_hop_rejects_duplicate_key():
     with pytest.raises(DuplicateKey):
         append_hop(Frame((180,)), 180, SensorRecord(1, 20.0))
+
+
+def test_decode_and_append_hop_return_checked_frames(post_inits):
+    checked = post_inits(Frame)
+    data = encode_frame(Frame((180,), (SensorRecord(0, 19.5),)))
+    decoded = decode_frame(data, (180,))
+    assert any(f is decoded for f in checked)
+    extended = append_hop(decoded, 170, SensorRecord(1, 20.0))
+    assert any(f is extended for f in checked)
+    with pytest.raises(ValueError):
+        append_hop(decoded, 0, SensorRecord(1, 20.0))  # 0x00 collides with framing
 
 
 def test_append_hop_chain_length_induction():

@@ -47,8 +47,13 @@ def test_sample_sensor_constant_profile():
     for clock in (0.0, 10.0, 1234.5):
         reading = sample_sensor(3, clock, QUIET)
         assert reading.temperature_c == 20.0
-        assert reading.timestamp_s == clock
         assert reading.node_id == 3
+
+
+def test_sample_sensor_is_the_record_the_node_appends():
+    assert sample_sensor(3, 0.0, QUIET) == fr.SensorRecord(3, 20.0)
+    with pytest.raises(ValueError):
+        sample_sensor(255, 0.0, QUIET)  # records carry the id in one byte, 0..254
 
 
 def test_sample_sensor_sine_peak():
@@ -163,6 +168,43 @@ def test_relay_drop_reasons(data, reason):
     assert actions[0].reason is reason
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        bytes.fromhex("ff50b47ddf3c8000"),  # record node id 0xFF
+        bytes.fromhex("ff50b4017ddf7ddf00"),  # raw 0xFFFF, above 32000
+    ],
+    ids=["id_0xff", "raw_above_32000"],
+)
+def test_relay_drops_a_record_no_encoder_writes(data):
+    state, _ = step(relay(), SlotStart("rx", 0.0))
+    state, _ = step(state, BytesArrived(data, 0.5))
+    state, actions = step(state, SlotEnd(1.0))
+    assert len(actions) == 1 and isinstance(actions[0], DropPacket)
+    assert actions[0].reason is DropReason.BAD_RECORD
+    assert state.pending_frame is None
+    _, actions = step(state, SlotStart("tx", 1.0))
+    assert actions == []
+
+
+def test_every_relay_transition_returns_a_checked_state(post_inits):
+    checked = post_inits(NodeState)
+    upstream = fr.encode_frame(fr.Frame((180,), (fr.SensorRecord(0, 19.5),)))
+    state = relay()
+    round_events = [
+        SlotStart("rx", 0.0),
+        BytesArrived(upstream, 0.5),
+        SlotEnd(1.0),
+        SlotStart("tx", 1.0),
+        SlotEnd(2.0),
+    ]
+    for event in round_events:
+        checked.clear()
+        state, _ = step(state, event)
+        assert any(s is state for s in checked), event
+    assert state.phase is Phase.IDLE
+
+
 # --- step: sink ----------------------------------------------------------------
 
 
@@ -200,6 +242,13 @@ def test_sink_never_transmits():
 def test_bytes_outside_rx_slot_rejected():
     with pytest.raises(ProtocolViolation):
         step(relay(), BytesArrived(b"\x00", 0.0))
+
+
+def test_unknown_slot_kind_and_event_rejected():
+    with pytest.raises(ProtocolViolation, match="unknown slot kind"):
+        step(relay(), SlotStart("sleep", 0.0))
+    with pytest.raises(ProtocolViolation, match="unknown event"):
+        step(relay(), "tick")
 
 
 def test_role_safety_over_random_event_logs():

@@ -15,7 +15,7 @@ from uwocnet.channel import (
     q_inverse,
 )
 from uwocnet.node import NodeRole, SensorProfile
-from uwocnet.rng import Substream
+from uwocnet.rng import Substream, derive_states
 from uwocnet.sim import (
     Topology,
     linear_topology,
@@ -84,6 +84,10 @@ def test_topology_validation():
         linear_topology([0, 1, 2], auth_keys=[180, 170])
     with pytest.raises(ValueError):
         Topology((0, 1), (0, 170), (LinkSpec(4.0),))  # key 0x00 collides with framing
+    with pytest.raises(ValueError, match="one link between consecutive nodes"):
+        Topology((0, 1, 2), (180, 170, 154), (LinkSpec(4.0),))
+    with pytest.raises(ValueError, match="node ids must be distinct"):
+        Topology((0, 0), (180, 170), (LinkSpec(4.0),))
 
 
 # --- transmit_over_link ------------------------------------------------------------
@@ -143,6 +147,16 @@ def test_binomial_sampler_concentrates():
     draw = stream.binomial(n, p)
     se = math.sqrt(n * p * (1 - p))
     assert abs(draw - n * p) < 3 * se
+
+
+def test_substream_edge_cases():
+    stream = Substream(123, 0)
+    assert stream.binomial(50, 1.0) == 50
+    assert stream.binomial(50, 1.5) == 50
+    assert stream.distinct_below(4, 4) == [0, 1, 2, 3]
+    assert stream.distinct_below(4, 9) == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="array argument"):
+        derive_states(1, 2, 3)
 
 
 # --- run_scenario ---------------------------------------------------------------
