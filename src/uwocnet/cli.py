@@ -87,11 +87,11 @@ def render_psr_csv(reports: list[PsrReport], label: str) -> str:
 def render_monitor_csv(report: PsrReport, node_ids) -> str:
     """One line per monitor row, each row holding one temperature per node."""
     header = "round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)
-    # _fmt's spec for every float cell, in one format string per row.
-    line = "{},{:.6g}" + ",{:.6g}" * len(node_ids)
+    # _fmt's spec for every float cell, in one %-format string per row.
+    line = "%d,%.6g" + ",%.6g" * len(node_ids)
     lines = [header]
     lines += [
-        line.format(row.round_index, row.time_s, *row.temperatures_c)
+        line % (row.round_index, row.time_s, *row.temperatures_c)
         for row in report.monitor_rows or ()
     ]
     return "\n".join(lines) + "\n"

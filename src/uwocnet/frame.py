@@ -159,8 +159,8 @@ class Frame:
     """A relay frame: ordered key chain plus ordered sensor records.
 
     key_chain[i] is the i-th node on the relay path.  The relay algorithm
-    keeps len(records) == len(key_chain); the decoder tolerates any record
-    count (the wire carries no count field).
+    keeps len(records) == len(key_chain), and node.step drops a frame that
+    breaks it; the decoder tolerates any record count (no count field).
     """
 
     key_chain: tuple[int, ...]

@@ -329,6 +329,9 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
                 if reason is None:
                     raise
                 return idle, [DropPacket(reason, str(exc))]
+            if len(frame.records) != len(frame.key_chain):  # each hop adds one of each
+                detail = f"{len(frame.records)} records, {len(frame.key_chain)} keys"
+                return idle, [DropPacket(DropReason.BAD_PAYLOAD_LENGTH, detail)]
             record = sample_sensor(state.node_id, event.time, state.profile)
             extended = fr.append_hop(frame, state.own_key, record)
             if state.role is NodeRole.SINK:

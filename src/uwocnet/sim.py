@@ -28,13 +28,16 @@ raises RuntimeError if the counts or that round's monitor row disagree.
 
 Rounds are mutually independent: workers=N counts them in blocks of at most
 ceil(rounds / N), in one pass in this process, and the output is
-bit-identical for every N.
+bit-identical for every N.  Readings and frame lengths do not depend on
+turbidity or seed, so a sweep takes each block's once for every turbidity
+that shares a sensor profile, then counts each turbidity on it in turn.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -285,21 +288,18 @@ def _readings(
 
 
 def _block_outcomes(
-    topology: Topology,
     bers: list[float],
     seed: int,
     rnd: np.ndarray,
-    raw: np.ndarray,
+    nbytes: np.ndarray,
+    valid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What _simulate_rounds meets on each hop of rounds rnd.
+    """What _simulate_rounds meets on each hop of rounds rnd, given each
+    hop's frame length and whether its transmitter's reading is in range.
 
-    raw holds the transmitters' readings (see _readings).  Returns
-    (attempted, delivered, frame bytes, out-of-range record encoded), each
-    an array of shape (rounds, hops).
+    Returns (attempted, delivered, frame bytes sent, out-of-range record
+    encoded), each an array of shape (rounds, hops).
     """
-    hops = topology.hop_count
-    nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
-
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above the chunk's
     # zero-draw probability (1.0 for 0 bits or BER 0, which no uniform in
@@ -308,7 +308,7 @@ def _block_outcomes(
     # so each chunk's thresholds are scalar math once per (extra bytes,
     # hop), looked up by every cell: a table, no sort.
     rounds_states = derive_states(seed, _LINK_STREAM_TAG, rnd)
-    hop = np.arange(hops)
+    hop = np.arange(len(bers))
     states = derive_states(rounds_states[:, None], hop)
     shortest = nbytes.min(axis=0)
     extra = nbytes - shortest
@@ -323,7 +323,7 @@ def _block_outcomes(
         ok &= ~(uniform_at(states, c) > table[extra, hop])
     live = np.ones(ok.shape, dtype=bool)
     live[:, 1:] = np.logical_and.accumulate(ok[:, :-1], axis=1)
-    return live, live & ok, nbytes, live & ~fr.raw_in_range(raw)
+    return live, live & ok, live * nbytes, live & ~valid
 
 
 def _monitor_rows(
@@ -351,55 +351,104 @@ def _monitor_rows(
 
 
 def _count_rounds(
-    topology: Topology,
+    scenarios: list[tuple[Topology, int]],
     params: ChannelParams,
-    seed: int,
     first_round: int,
     last_round: int,
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
     partitions: int = 1,
-) -> tuple[list[int], list[int], list[int], list[MonitorRow]]:
-    """The results of _simulate_rounds, in blocks of at most
-    ceil(rounds / partitions) rounds."""
-    *canary, canary_rows = _simulate_rounds(
-        topology, params, seed, first_round, first_round + 1, slot_duration,
-        profile, collect_monitor,
-    )
-    bers = [link_ber(params, link) for link in topology.links]
-    totals = np.zeros((3, topology.hop_count), dtype=np.int64)
-    monitor: list[MonitorRow] = []
+) -> list[tuple[list[int], list[int], list[int], list[MonitorRow]]]:
+    """_simulate_rounds of each (topology, seed) of scenarios, whose node ids
+    are the same, in blocks of at most ceil(rounds / partitions) rounds: a
+    block's readings and frame lengths serve every scenario, in list order,
+    and each scenario replays its first round through the nodes as a canary."""
+    topology = scenarios[0][0]
+    bers = [[link_ber(params, link) for link in topo.links] for topo, _ in scenarios]
+    results = [(np.zeros((3, topology.hop_count), np.int64), []) for _ in scenarios]
     part = -(-(last_round - first_round) // partitions)
     block = max(1, min(_BLOCK_CELLS // topology.hop_count, part))
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
-        live, delivered, nbytes, bad = _block_outcomes(topology, bers, seed, rnd, raw)
-        if bad.any():
-            # The reference engine raises RecordOutOfRange on this round.
-            r = lo + int(np.nonzero(bad.any(axis=1))[0][0])
-            _simulate_rounds(
-                topology, params, seed, r, r + 1, slot_duration, profile, False
-            )
-            raise RuntimeError(f"round {r}: counting engine saw an out-of-range record")
-        counts = np.stack([live, delivered, live * nbytes])
-        rows = (
-            _monitor_rows(topology, rnd, clocks, raw, delivered, profile)
-            if collect_monitor
-            else []
-        )
-        if lo == first_round:
-            first = [row for row in rows[:1] if row.round_index == lo]
-            if counts[:, 0].tolist() != canary or first != canary_rows:
+        nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
+        valid = fr.raw_in_range(raw)
+        for (topo, seed), ber, (total, monitor) in zip(scenarios, bers, results):
+            replay = partial(_simulate_rounds, topo, params, seed)
+            live, delivered, sent, bad = _block_outcomes(ber, seed, rnd, nbytes, valid)
+            if bad.any():
+                # The reference engine raises RecordOutOfRange on this round.
+                r = lo + int(np.nonzero(bad.any(axis=1))[0][0])
+                replay(r, r + 1, slot_duration, profile, False)
                 raise RuntimeError(
-                    f"counting engine gives {counts[:, 0].tolist()} {first} for "
-                    f"round {lo}, reference engine {canary} {canary_rows}"
+                    f"round {r}: counting engine saw an out-of-range record"
                 )
-        totals += counts.sum(axis=1)
-        monitor.extend(rows)
-    attempted, delivered_n, frame_bytes_sum = totals.tolist()
-    return attempted, delivered_n, frame_bytes_sum, monitor
+            counts = np.stack([live, delivered, sent])
+            rows = []
+            if collect_monitor:
+                rows = _monitor_rows(topology, rnd, clocks, raw, delivered, profile)
+            if lo == first_round:
+                *canary, canary_rows = replay(
+                    lo, lo + 1, slot_duration, profile, collect_monitor
+                )
+                first = [row for row in rows[:1] if row.round_index == lo]
+                if counts[:, 0].tolist() != canary or first != canary_rows:
+                    raise RuntimeError(
+                        f"counting engine gives {counts[:, 0].tolist()} {first} for "
+                        f"round {lo}, reference engine {canary} {canary_rows}"
+                    )
+            total += counts.sum(axis=1)
+            monitor.extend(rows)
+    return [(*total.tolist(), monitor) for total, monitor in results]
+
+
+def _reports(
+    scenarios: list[tuple[Topology, int]],
+    params: ChannelParams,
+    rounds: int,
+    profile: nd.SensorProfile,
+    slot_duration: float | None = None,
+    bit_rate: float = nd.DEFAULT_BIT_RATE,
+    collect_monitor: bool = False,
+    workers: int = 1,
+) -> list[PsrReport]:
+    """run_scenario of each (topology, seed) of scenarios, in one pass."""
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    node_ids = scenarios[0][0].node_ids
+    if slot_duration is None:
+        slot_duration = nd.min_slot_duration(len(node_ids), bit_rate)
+    # Validates SlotTooShort and the pipeline structure once; both engines
+    # then place round r's windows as schedule(..., r) does.
+    nd.schedule(node_ids, slot_duration, 0, bit_rate)
+
+    counted = _count_rounds(
+        scenarios, params, 0, rounds, slot_duration, profile, collect_monitor, workers
+    )
+    reports = []
+    for (topology, seed), counts in zip(scenarios, counted):
+        *per_hop, rows = counts
+        hop_stats = [
+            HopStats(
+                hop_index=h,
+                link_distance_m=link.distance_m,
+                packets_attempted=a,
+                packets_delivered=d,
+                per_hop_psr=d / a if a else 0.0,
+                cumulative_psr=d / rounds,
+                rx_lux=attenuate(params, link),
+                mean_frame_bytes=f / a if a else 0.0,
+            )
+            for h, (link, a, d, f) in enumerate(zip(topology.links, *per_hop))
+        ]
+        ntu, *other_ntu = {l.turbidity_ntu for l in topology.links}
+        monitor_rows = tuple(rows) if collect_monitor else None
+        report_ntu = float("nan") if other_ntu else ntu
+        reports.append(PsrReport(report_ntu, rounds, seed, hop_stats, monitor_rows))
+    return reports
 
 
 def run_scenario(
@@ -424,47 +473,11 @@ def run_scenario(
     at ceil(rounds / workers) rounds; the per-(round, hop) substreams make
     the output bit-identical for every workers.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
-    if slot_duration is None:
-        slot_duration = nd.min_slot_duration(len(topology.node_ids), bit_rate)
-    # Validates SlotTooShort and the pipeline structure once; both engines
-    # then place round r's windows as schedule(..., r) does.
-    nd.schedule(topology.node_ids, slot_duration, 0, bit_rate)
-
-    attempted, delivered, frame_sum, rows = _count_rounds(
-        topology, params, seed, 0, rounds, slot_duration, profile,
+    return _reports(
+        [(topology, seed)], params, rounds, profile, slot_duration, bit_rate,
         collect_monitor, workers,
-    )
-    hop_stats = [
-        HopStats(
-            hop_index=h,
-            link_distance_m=link.distance_m,
-            packets_attempted=a,
-            packets_delivered=d,
-            per_hop_psr=d / a if a else 0.0,
-            cumulative_psr=d / rounds,
-            rx_lux=attenuate(params, link),
-            mean_frame_bytes=f / a if a else 0.0,
-        )
-        for h, (link, a, d, f) in enumerate(
-            zip(topology.links, attempted, delivered, frame_sum)
-        )
-    ]
-    turbidities = {l.turbidity_ntu for l in topology.links}
-    report_ntu = (
-        topology.links[0].turbidity_ntu if len(turbidities) == 1 else float("nan")
-    )
-    return PsrReport(
-        turbidity_ntu=report_ntu,
-        rounds=rounds,
-        seed=seed,
-        hops=hop_stats,
-        monitor_rows=tuple(rows) if collect_monitor else None,
-    )
+    )[0]
 
 
 def sweep(
@@ -473,23 +486,26 @@ def sweep(
     turbidities,
     rounds: int,
     seed: int,
+    *,
+    profile: nd.SensorProfile | None = None,
     **kwargs,
 ) -> list[PsrReport]:
-    """One run_scenario per turbidity, each on its own derived substream.
+    """run_scenario at each turbidity, each on its own derived substream.
 
     Output order matches the input turbidity order; each scenario's seed
-    depends only on (seed, turbidity value), not on list position.
+    depends only on (seed, turbidity value), not on list position.  The
+    turbidities whose sensor profile (profile, else run_scenario's default)
+    is the same share one counting pass, hence each block's readings.
     """
-    turbidities = list(turbidities)
-    if not turbidities:
+    passes: dict[nd.SensorProfile, dict[int, tuple[Topology, int]]] = {}
+    for i, t in enumerate(turbidities):
+        s = scenario_seed(seed, t)
+        shared = profile if profile is not None else nd.SensorProfile(seed=s)
+        passes.setdefault(shared, {})[i] = (topology.with_turbidity(t), s)
+    if not passes:
         raise ValueError("need at least one turbidity")
-    return [
-        run_scenario(
-            topology.with_turbidity(t),
-            params,
-            rounds,
-            scenario_seed(seed, t),
-            **kwargs,
-        )
-        for t in turbidities
-    ]
+    reports = {}
+    for shared, scenarios in passes.items():
+        done = _reports(list(scenarios.values()), params, rounds, shared, **kwargs)
+        reports.update(zip(scenarios, done))
+    return [reports[i] for i in sorted(reports)]

@@ -43,10 +43,10 @@ def engine_counts(topo, params, rounds, seed, profile=None, first=0):
     """(attempted, delivered, frame_bytes_sum) from both engines."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    args = (topo, params, seed, first, first + rounds, slot, profile)
-    counted = sim._count_rounds(*args)[:3]
-    stepped = sim._simulate_rounds(*args, False)[:3]
-    return counted, stepped
+    args = (first, first + rounds, slot, profile)
+    [counted] = sim._count_rounds([(topo, seed)], params, *args)
+    stepped = sim._simulate_rounds(topo, params, seed, *args, False)
+    return counted[:3], stepped[:3]
 
 
 def assert_engines_agree(topo, params, rounds, seed, profile=None):
@@ -322,9 +322,9 @@ def test_partition_from_a_late_round_monitor_rows_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     profile = SensorProfile(seed=3)
     slot = min_slot_duration(len(topo.node_ids))
-    args = (topo, ANCHOR, 3, 10**9, 10**9 + 500, slot, profile, True)
-    counted = sim._count_rounds(*args)
-    assert counted == sim._simulate_rounds(*args)
+    args = (10**9, 10**9 + 500, slot, profile, True)
+    [counted] = sim._count_rounds([(topo, 3)], ANCHOR, *args)
+    assert counted == sim._simulate_rounds(topo, ANCHOR, 3, *args)
     assert 0 < len(counted[3]) < 500
 
 
@@ -618,3 +618,96 @@ def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     with pytest.raises(RuntimeError, match="counting engine"):
         run_scenario(linear_topology(range(5)), clean, 10, seed=0, collect_monitor=True)
+
+
+# --- one counting pass per sweep ---------------------------------------------------
+
+SWEEP_NTU = [70.0, 0.01, 40.0, 150.0]
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
+    topo = linear_topology(range(5))
+    kwargs = dict(profile=SensorProfile(seed=21), collect_monitor=monitor)
+    expected = [
+        run_scenario(topo.with_turbidity(t), ANCHOR, 301, sim.scenario_seed(21, t),
+                     **kwargs)
+        for t in SWEEP_NTU
+    ]
+    assert not monitor or all(r.monitor_rows for r in expected)
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 150)  # blocks of 150, 150, 1 rounds
+    for workers in (1, 3):  # 3: blocks of 101, 101, 99 rounds
+        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, workers=workers, **kwargs)
+        assert swept == expected
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 100)  # 100 rounds per block
+    readings, simulate = sim._readings, sim._simulate_rounds
+    block_rounds, replayed = [], []
+
+    def counted_readings(topology, rnd, *rest):
+        block_rounds.append(len(rnd))
+        return readings(topology, rnd, *rest)
+
+    def counted_replays(topology, params, seed, first_round, last_round, *rest):
+        replayed.append((seed, first_round, last_round))
+        return simulate(topology, params, seed, first_round, last_round, *rest)
+
+    monkeypatch.setattr(sim, "_readings", counted_readings)
+    monkeypatch.setattr(sim, "_simulate_rounds", counted_replays)
+    sim.sweep(linear_topology(range(5)), ANCHOR, SWEEP_NTU, 301, 4,
+              profile=SensorProfile(seed=4), collect_monitor=monitor)
+    assert block_rounds == [100, 100, 100, 1]
+    # and every turbidity still replays its first round through the nodes
+    assert replayed == [(sim.scenario_seed(4, t), 0, 1) for t in SWEEP_NTU]
+
+
+def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
+    second = sim.scenario_seed(0, SWEEP_NTU[1])
+    original = sim._block_outcomes
+
+    def perturbed(bers, seed, *rest):
+        live, delivered, sent, bad = original(bers, seed, *rest)
+        return live, delivered, sent + (seed == second), bad
+
+    monkeypatch.setattr(sim, "_block_outcomes", perturbed)
+    topo, profile = linear_topology(range(5)), SensorProfile(seed=0)
+    sim.sweep(topo, ANCHOR, SWEEP_NTU[:1], 10, 0, profile=profile)
+    with pytest.raises(RuntimeError, match="counting engine"):
+        sim.sweep(topo, ANCHOR, SWEEP_NTU, 10, 0, profile=profile)
+
+
+def test_profileless_sweep_equals_run_scenario_per_turbidity():
+    # each turbidity reads its own scenario seed's sensor; 0.01 twice and
+    # -0.0 / 0.0 are scenarios that share one
+    topo = linear_topology(range(5))
+    turbidities = [70.0, 0.01, 0.0, 0.01, -0.0]
+    swept = sim.sweep(topo, ANCHOR, turbidities, 300, 6, collect_monitor=True)
+    assert swept == [
+        run_scenario(topo.with_turbidity(t), ANCHOR, 300, sim.scenario_seed(6, t),
+                     profile=None, collect_monitor=True)
+        for t in turbidities
+    ]
+
+
+def test_sweep_stops_at_the_first_block_with_an_out_of_range_record(monkeypatch):
+    # Readings leave the range at t = 9.56 s.  With 1 s slots that is relay
+    # 2's record of round 2 (t = 10 s) on a clear line, and the originator's
+    # of round 3 (t = 12 s) on a dark one, whose relays are never live.
+    params = ChannelParams(1000.0, 0.0, 1.0, noise_sigma=1e-9)
+    topo = linear_topology(range(5))
+
+    def error(turbidities):
+        with pytest.raises(fr.RecordOutOfRange) as info:
+            sim.sweep(topo, params, turbidities, 50, 0, slot_duration=1.0,
+                      profile=_rising(0.00125))
+        return str(info.value)
+
+    clear, dark = error([0.0]), error([1000.0])
+    assert clear != dark
+    assert error([1000.0, 0.0]) == dark  # one block: list order
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4)  # one round per block
+    assert error([1000.0, 0.0]) == clear  # round order first
+    assert error([0.0, 1000.0]) == clear

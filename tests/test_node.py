@@ -187,6 +187,20 @@ def test_relay_drops_a_record_no_encoder_writes(data):
     assert actions == []
 
 
+@pytest.mark.parametrize("role", [NodeRole.RELAY, NodeRole.SINK])
+def test_frame_with_fewer_records_than_keys_is_dropped(role):
+    # two keys, one record: decode_frame accepts it, the relay invariant does not
+    data = bytes.fromhex("ff50b4aa7d203b8000")
+    assert len(fr.decode_frame(data, (180, 170)).records) == 1
+    state = NodeState(2, role, 154, (180, 170), QUIET)
+    state, _ = step(state, SlotStart("rx", 0.0))
+    state, _ = step(state, BytesArrived(data, 0.5))
+    state, actions = step(state, SlotEnd(1.0))
+    assert len(actions) == 1 and isinstance(actions[0], DropPacket)
+    assert actions[0].reason is DropReason.BAD_PAYLOAD_LENGTH
+    assert state.pending_frame is None
+
+
 def test_every_relay_transition_returns_a_checked_state(post_inits):
     checked = post_inits(NodeState)
     upstream = fr.encode_frame(fr.Frame((180,), (fr.SensorRecord(0, 19.5),)))
