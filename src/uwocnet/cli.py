@@ -9,6 +9,7 @@ the config; --out only picks the file written.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -90,10 +91,7 @@ def render_monitor_csv(report: PsrReport, node_ids) -> str:
     # _fmt's spec for every float cell, in one %-format string per row.
     line = "%d,%.6g" + ",%.6g" * len(node_ids)
     lines = [header]
-    lines += [
-        line % (row.round_index, row.time_s, *row.temperatures_c)
-        for row in report.monitor_rows or ()
-    ]
+    lines += [line % row for row in zip(*(report.monitor_log or ()))]
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +219,7 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
         collect_monitor=True,
         workers=args.workers,
     )
-    delivered = len(report.monitor_rows or ())
+    delivered = len(report.monitor_log[0])  # monitor_rows would build every row
     summary = [
         f"{delivered} of {config.rounds} rounds delivered "
         f"(cumulative PSR {report.final_cumulative_psr:.6f}) at "
@@ -230,6 +228,7 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     return config.output_path, render_monitor_csv(report, config.node_ids), summary
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="uwocnet",

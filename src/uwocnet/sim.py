@@ -20,11 +20,11 @@ same words as the reference engine, so its counts are exact, not
 statistical.  A round reaches the monitor only when every hop drew zero
 flips, so the sink decodes exactly the records that were encoded: its log
 row is the transmitters' readings at wire resolution plus the sink's own
-reading, built per block from the same readings; the sink's noise words
-are drawn per block as well, and only libm's sin/log/cos run per row.  The
-reference engine is the differential oracle of the tests and, on every
-run, a canary: the counting engine replays its first round through it and
-raises RuntimeError if the counts or that round's monitor row disagree.
+reading, kept as columns built per block from the same readings; the
+sink's noise words are drawn per block too, and only libm's sin/log/cos run
+per row.  The reference engine is the differential oracle of the tests and,
+on every run, a canary: the counting engine replays its first round through
+it and raises RuntimeError if the counts or that round's monitor row differ.
 
 Rounds are mutually independent: workers=N counts them in blocks of at most
 ceil(rounds / N), in one pass in this process, and the output is
@@ -163,15 +163,25 @@ class MonitorRow:
 
 @dataclass
 class PsrReport:
+    """monitor_log, with collect_monitor: the sink's log as columns (rounds,
+    times, per-node temperatures); monitor_rows builds MonitorRows on access."""
+
     turbidity_ntu: float
     rounds: int
     seed: int
     hops: list[HopStats]
-    monitor_rows: tuple[MonitorRow, ...] | None = None
+    monitor_log: list[list] | None = None
 
     @property
     def final_cumulative_psr(self) -> float:
         return self.hops[-1].cumulative_psr
+
+    @property
+    def monitor_rows(self) -> tuple[MonitorRow, ...] | None:
+        if self.monitor_log is None:
+            return None
+        rounds, times, *temps = self.monitor_log
+        return tuple(map(MonitorRow, rounds, times, zip(*temps)))
 
 
 def transmit_over_link(
@@ -326,14 +336,14 @@ def _block_outcomes(
     return live, live & ok, live * nbytes, live & ~valid
 
 
-def _monitor_rows(
+def _monitor_columns(
     topology: Topology,
     rnd: np.ndarray,
     clocks: np.ndarray,
     raw: np.ndarray,
     delivered: np.ndarray,
     profile: nd.SensorProfile,
-) -> list[MonitorRow]:
+) -> list[list]:
     """The sink's log of the rounds among rnd whose last hop delivered.
 
     The relayed temperatures are the transmitters' readings at wire
@@ -344,10 +354,9 @@ def _monitor_rows(
     """
     done = np.nonzero(delivered[:, -1])[0]
     times = clocks[done, -1]
-    # One list per column, zipped into the rows' tuples: no per-row list.
-    columns = fr.raw_to_temperature(raw[done]).T.tolist()
-    columns.append(nd.sensor_temperatures(topology.node_ids[-1], times, profile))
-    return list(map(MonitorRow, rnd[done].tolist(), times.tolist(), zip(*columns)))
+    temps = fr.raw_to_temperature(raw[done]).T.tolist()
+    sink = nd.sensor_temperatures(topology.node_ids[-1], times, profile)
+    return [rnd[done].tolist(), times.tolist(), *temps, sink]
 
 
 def _count_rounds(
@@ -359,14 +368,16 @@ def _count_rounds(
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
     partitions: int = 1,
-) -> list[tuple[list[int], list[int], list[int], list[MonitorRow]]]:
-    """_simulate_rounds of each (topology, seed) of scenarios, whose node ids
-    are the same, in blocks of at most ceil(rounds / partitions) rounds: a
-    block's readings and frame lengths serve every scenario, in list order,
-    and each scenario replays its first round through the nodes as a canary."""
+) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
+    """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
+    its rows as monitor_log columns, in blocks of at most ceil(rounds /
+    partitions) rounds: a block's readings and frame lengths serve every
+    scenario in list order, and each replays its first round as a canary."""
     topology = scenarios[0][0]
     bers = [[link_ber(params, link) for link in topo.links] for topo, _ in scenarios]
-    results = [(np.zeros((3, topology.hop_count), np.int64), []) for _ in scenarios]
+    totals = np.zeros((len(scenarios), 3, topology.hop_count), np.int64)
+    width = len(topology.node_ids) + 2
+    logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
     part = -(-(last_round - first_round) // partitions)
     block = max(1, min(_BLOCK_CELLS // topology.hop_count, part))
     for lo in range(first_round, last_round, block):
@@ -374,7 +385,7 @@ def _count_rounds(
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
         nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
         valid = fr.raw_in_range(raw)
-        for (topo, seed), ber, (total, monitor) in zip(scenarios, bers, results):
+        for (topo, seed), ber, total, log in zip(scenarios, bers, totals, logs):
             replay = partial(_simulate_rounds, topo, params, seed)
             live, delivered, sent, bad = _block_outcomes(ber, seed, rnd, nbytes, valid)
             if bad.any():
@@ -385,22 +396,23 @@ def _count_rounds(
                     f"round {r}: counting engine saw an out-of-range record"
                 )
             counts = np.stack([live, delivered, sent])
-            rows = []
-            if collect_monitor:
-                rows = _monitor_rows(topology, rnd, clocks, raw, delivered, profile)
+            if log is not None:
+                new = _monitor_columns(topology, rnd, clocks, raw, delivered, profile)
+                for column, more in zip(log, new):
+                    column.extend(more)
             if lo == first_round:
                 *canary, canary_rows = replay(
                     lo, lo + 1, slot_duration, profile, collect_monitor
                 )
-                first = [row for row in rows[:1] if row.round_index == lo]
+                r, t, *temps = next(zip(*log or ()), (None, None))  # first logged row
+                first = [MonitorRow(r, t, tuple(temps))] if r == lo else []
                 if counts[:, 0].tolist() != canary or first != canary_rows:
                     raise RuntimeError(
                         f"counting engine gives {counts[:, 0].tolist()} {first} for "
                         f"round {lo}, reference engine {canary} {canary_rows}"
                     )
             total += counts.sum(axis=1)
-            monitor.extend(rows)
-    return [(*total.tolist(), monitor) for total, monitor in results]
+    return [(*total.tolist(), log) for total, log in zip(totals, logs)]
 
 
 def _reports(
@@ -430,7 +442,7 @@ def _reports(
     )
     reports = []
     for (topology, seed), counts in zip(scenarios, counted):
-        *per_hop, rows = counts
+        *per_hop, log = counts
         hop_stats = [
             HopStats(
                 hop_index=h,
@@ -445,9 +457,8 @@ def _reports(
             for h, (link, a, d, f) in enumerate(zip(topology.links, *per_hop))
         ]
         ntu, *other_ntu = {l.turbidity_ntu for l in topology.links}
-        monitor_rows = tuple(rows) if collect_monitor else None
         report_ntu = float("nan") if other_ntu else ntu
-        reports.append(PsrReport(report_ntu, rounds, seed, hop_stats, monitor_rows))
+        reports.append(PsrReport(report_ntu, rounds, seed, hop_stats, log))
     return reports
 
 
@@ -467,11 +478,11 @@ def run_scenario(
 
     slot_duration defaults to the smallest slot that fits the worst-case
     frame at bit_rate.  The counting engine computes the counts and, with
-    collect_monitor, the sink's log of every delivered round, exactly as the
-    reference engine would (see the module docstring), in one pass that
-    replays one round through the reference engine.  workers caps a block
-    at ceil(rounds / workers) rounds; the per-(round, hop) substreams make
-    the output bit-identical for every workers.
+    collect_monitor, the sink's log of every delivered round as the columns
+    of PsrReport.monitor_log, exactly as the reference engine would, in one
+    pass that replays one round through the reference engine.  workers caps
+    a block at ceil(rounds / workers) rounds; the per-(round, hop)
+    substreams make the output bit-identical for every workers.
     """
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(

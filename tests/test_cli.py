@@ -11,11 +11,12 @@ from uwocnet.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _fmt,
+    build_parser,
     main,
     render_monitor_csv,
 )
 from uwocnet.config import parse_config
-from uwocnet.sim import MonitorRow, PsrReport
+from uwocnet.sim import PsrReport
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "demos" / "configs"
@@ -565,16 +566,70 @@ def _monitor_csv_per_cell(report, node_ids):
 def test_monitor_csv_matches_per_cell_rendering():
     inf, nan = float("inf"), float("nan")
     cells = [nan, inf, -inf, -0.0, 0.0, 5e-324, 1e-5, 999999.5, 1e16, 20.0, -3.0, 1.5e-7]
-    rows = tuple(
-        MonitorRow(i, cells[i], (cells[-1 - i], cells[(i + 3) % 12], 19.99609375))
-        for i in range(len(cells))
-    )
+    n = len(cells)
+    log = [
+        list(range(n)),  # round indices
+        cells,  # sink times
+        [cells[-1 - i] for i in range(n)],
+        [cells[(i + 3) % n] for i in range(n)],
+        [19.99609375] * n,
+    ]
     ids = (0, 0x7D, 254)
-    for monitor_rows in (rows, (), None):
-        report = PsrReport(70.0, 12, 1, [], monitor_rows)
+    for monitor_log in (log, [[] for _ in log], None):
+        report = PsrReport(70.0, 12, 1, [], monitor_log)
         expected = _monitor_csv_per_cell(report, ids)
         assert render_monitor_csv(report, ids) == expected
     assert expected == "round,time_s,temp_0,temp_125,temp_254\n"
+
+
+# --- one parser per process --------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "first_only", [["--target", "10:16:4:0.95"], ["--fix", "noise_sigma=2.0"]]
+)
+def test_append_flags_do_not_leak_into_the_next_call(
+    first_only, base_cfg, tmp_path, capsys
+):
+    # the shared parser must not carry one call's --target or --fix into
+    # the next call's append list
+    out = tmp_path / "fit.cfg"
+    argv = ["calibrate", "--config", str(base_cfg), "--out", str(out)]
+    argv += ["--target", "0.01:16:4:0.95", "--fix", "turbidity_slope=0.0002"]
+    argv += ["--fix", "noise_sigma=1.0"]
+
+    def run(extra):
+        assert main(argv + extra) == EXIT_OK
+        return capsys.readouterr().out, out.read_bytes()
+
+    alone = run([])
+    assert alone[0].count(" NTU: model") == 1 and " = 1 lux" in alone[0]
+    assert run(first_only) != alone
+    assert run([]) == alone
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["monitor", "--workers", "x"],
+        ["monitor", "--bogus"],
+        ["monitor", "--seed"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_error_leaves_the_parser_usable(bad, lossy_cfg, tmp_path, capsys):
+    out = tmp_path / "monitor.csv"
+    monitor = ["monitor", "--config", str(lossy_cfg), "--out", str(out)]
+    assert main(monitor) == EXIT_OK
+    first = out.read_bytes()
+    out.unlink()
+    assert main(bad + ["--config", str(lossy_cfg)]) == EXIT_USAGE
+    assert main(monitor) == EXIT_OK
+    assert out.read_bytes() == first
 
 
 # --- exit codes and plumbing ---------------------------------------------------

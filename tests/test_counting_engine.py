@@ -323,9 +323,11 @@ def test_partition_from_a_late_round_monitor_rows_equal():
     profile = SensorProfile(seed=3)
     slot = min_slot_duration(len(topo.node_ids))
     args = (10**9, 10**9 + 500, slot, profile, True)
-    [counted] = sim._count_rounds([(topo, 3)], ANCHOR, *args)
-    assert counted == sim._simulate_rounds(topo, ANCHOR, 3, *args)
-    assert 0 < len(counted[3]) < 500
+    [(*counts, log)] = sim._count_rounds([(topo, 3)], ANCHOR, *args)
+    *stepped, rows = sim._simulate_rounds(topo, ANCHOR, 3, *args)
+    assert counts == stepped
+    assert sim.PsrReport(70.0, 500, 3, [], log).monitor_rows == tuple(rows)
+    assert 0 < len(rows) < 500
 
 
 # --- layer parity ---------------------------------------------------------------
@@ -484,6 +486,28 @@ def test_u1_redraw_falls_back_to_sample_sensor(monkeypatch):
     ]
 
 
+def test_monitor_log_builds_no_row_objects(monkeypatch):
+    # The log stays in columns: only the canary builds MonitorRows, one in
+    # the reference engine it replays and at most one from the columns.
+    callers = []
+    original = sim.MonitorRow
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    monkeypatch.setattr(sim, "MonitorRow", counting)
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 300)  # 300 rounds per block
+    topo = linear_topology(range(5), turbidity_ntu=0.01)
+    report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
+    assert callers.count("_simulate_rounds") == 1 and len(callers) <= 2
+    assert len(report.monitor_log[0]) > 1800
+    monkeypatch.setattr(sim, "MonitorRow", original)
+    args = (0, 2000, min_slot_duration(len(topo.node_ids)), SensorProfile(seed=1))
+    *_, rows = sim._simulate_rounds(topo, ANCHOR, 1, *args, True)
+    assert report.monitor_rows == tuple(rows)
+
+
 def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     # The sink's readings are drawn per block: sample_sensor runs only for
     # the canary round's state machine and for sensor_raw's tie cells.
@@ -603,18 +627,16 @@ def test_perturbed_engine_trips_the_canary(monkeypatch):
 
 @pytest.mark.parametrize("field", ["time_s", "temperatures_c"])
 def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
-    original = sim._monitor_rows
+    original = sim._monitor_columns
 
     def perturbed(*args):
-        first, *rest = original(*args)
-        temps = first.temperatures_c
-        shifted = {
-            "time_s": first.time_s + 1e-9,
-            "temperatures_c": temps[:-1] + (temps[-1] + 1e-9,),
-        }
-        return [replace(first, **{field: shifted[field]}), *rest]
+        rounds, times, *temps = original(*args)
+        # the first entry of the time column, or of the sink's temperatures
+        column = times if field == "time_s" else temps[-1]
+        column[0] += 1e-9
+        return [rounds, times, *temps]
 
-    monkeypatch.setattr(sim, "_monitor_rows", perturbed)
+    monkeypatch.setattr(sim, "_monitor_columns", perturbed)
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     with pytest.raises(RuntimeError, match="counting engine"):
         run_scenario(linear_topology(range(5)), clean, 10, seed=0, collect_monitor=True)
