@@ -246,7 +246,7 @@ def build_parser() -> _Parser:
         common(p)
         p.add_argument(
             "--workers", type=int, default=1,
-            help="count rounds in blocks of at most rounds/N (same output)",
+            help="checked >= 1; changes neither speed nor output",
         )
 
     p_cal = sub.add_parser("calibrate", help="fit channel parameters to PSR targets")

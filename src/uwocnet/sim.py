@@ -26,17 +26,17 @@ per row.  The reference engine is the differential oracle of the tests and,
 on every run, a canary: the counting engine replays its first round through
 it and raises RuntimeError if the counts or that round's monitor row differ.
 
-Rounds are mutually independent: workers=N counts them in blocks of at most
-ceil(rounds / N), in one pass in this process, and the output is
-bit-identical for every N.  Readings and frame lengths do not depend on
-turbidity or seed, so a sweep takes each block's once for every turbidity
+A run is one pass in this process, in blocks of rounds whose size depends
+only on the line's length; workers is checked but changes neither the
+blocks, the speed nor the output.  Readings and frame lengths do not depend
+on turbidity or seed, so a sweep takes each block's once for every turbidity
 that shares a sensor profile, then counts each turbidity on it in turn.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -92,8 +92,10 @@ class Topology:
         return len(self.links)
 
     def with_turbidity(self, turbidity_ntu: float) -> "Topology":
-        links = tuple(replace(l, turbidity_ntu=turbidity_ntu) for l in self.links)
-        return replace(self, links=links)
+        links = tuple(
+            LinkSpec(l.distance_m, turbidity_ntu, l.extra_loss) for l in self.links
+        )
+        return Topology(self.node_ids, self.auth_keys, links)
 
     def node_states(self, profile: nd.SensorProfile) -> list[nd.NodeState]:
         """Every node's idle state, in line order.
@@ -367,19 +369,17 @@ def _count_rounds(
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
-    partitions: int = 1,
 ) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
-    its rows as monitor_log columns, in blocks of at most ceil(rounds /
-    partitions) rounds: a block's readings and frame lengths serve every
-    scenario in list order, and each replays its first round as a canary."""
+    its rows as monitor_log columns, in blocks of _BLOCK_CELLS // hops
+    rounds: a block's readings and frame lengths serve every scenario in
+    list order, and each replays its first round as a canary."""
     topology = scenarios[0][0]
     bers = [[link_ber(params, link) for link in topo.links] for topo, _ in scenarios]
     totals = np.zeros((len(scenarios), 3, topology.hop_count), np.int64)
     width = len(topology.node_ids) + 2
     logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
-    part = -(-(last_round - first_round) // partitions)
-    block = max(1, min(_BLOCK_CELLS // topology.hop_count, part))
+    block = max(1, _BLOCK_CELLS // topology.hop_count)
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
@@ -438,7 +438,7 @@ def _reports(
     nd.schedule(node_ids, slot_duration, 0, bit_rate)
 
     counted = _count_rounds(
-        scenarios, params, 0, rounds, slot_duration, profile, collect_monitor, workers
+        scenarios, params, 0, rounds, slot_duration, profile, collect_monitor
     )
     reports = []
     for (topology, seed), counts in zip(scenarios, counted):
@@ -480,9 +480,8 @@ def run_scenario(
     frame at bit_rate.  The counting engine computes the counts and, with
     collect_monitor, the sink's log of every delivered round as the columns
     of PsrReport.monitor_log, exactly as the reference engine would, in one
-    pass that replays one round through the reference engine.  workers caps
-    a block at ceil(rounds / workers) rounds; the per-(round, hop)
-    substreams make the output bit-identical for every workers.
+    pass that replays one round through the reference engine.  workers must
+    be >= 1 and changes neither the blocks, the speed nor the output.
     """
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from uwocnet import sim
 from uwocnet.cli import (
     CSV_HEADER,
     EXIT_FAILURE,
@@ -446,12 +447,15 @@ SWEEP_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("config", sorted(SWEEP_GOLDEN), ids=lambda p: p.stem)
-def test_sweep_csv_golden(config, workers, tmp_path):
+def test_sweep_csv_golden(config, blocks, tmp_path, monkeypatch):
+    if blocks == 3:  # 1001, 1001 and 998 rounds on the 4-hop line
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 1001)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--turbidity", "0.01,35,70"]
-    argv += ["--rounds", "3000", "--workers", workers, "--out", str(out)]
+    # --workers is checked but changes nothing
+    argv += ["--rounds", "3000", "--workers", "3", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GOLDEN[config]
 
@@ -534,9 +538,11 @@ MONITOR_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("name", sorted(MONITOR_GOLDEN))
-def test_monitor_csv_golden(name, workers, tmp_path, capsys):
+def test_monitor_csv_golden(name, blocks, tmp_path, capsys, monkeypatch):
+    if blocks == 3:  # 101, 101 and 98 rounds on the 4-hop line
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 101)
     out = tmp_path / "mon.csv"
     code = main(
         [
@@ -544,7 +550,6 @@ def test_monitor_csv_golden(name, workers, tmp_path, capsys):
             "--config", str(CONFIGS / f"{name}.cfg"),
             "--turbidity", "70",
             "--rounds", "300",
-            "--workers", workers,
             "--out", str(out),
         ]
     )

@@ -71,7 +71,7 @@ def stepped_fields(attempted, delivered, frame_bytes_sum):
     ]
 
 
-def assert_monitor_agrees(topo, params, rounds, seed, profile=None, workers=1):
+def assert_monitor_agrees(topo, params, rounds, seed, profile=None):
     """run_scenario's monitor rows and counts against the reference engine's."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
@@ -79,8 +79,7 @@ def assert_monitor_agrees(topo, params, rounds, seed, profile=None, workers=1):
         topo, params, seed, 0, rounds, slot, profile, True
     )
     report = run_scenario(
-        topo, params, rounds, seed, profile=profile, collect_monitor=True,
-        workers=workers,
+        topo, params, rounds, seed, profile=profile, collect_monitor=True
     )
     assert hop_fields(report) == stepped_fields(*counts)
     assert report.monitor_rows == tuple(rows)
@@ -163,12 +162,19 @@ def test_noiseless_sensor_counts_equal():
     assert_engines_agree(topo, lossy_params(0.9), 2000, seed=3, profile=profile)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_partitions_counts_equal(workers):
+def split_1001_rounds(monkeypatch, parts):
+    """Blocks of ceil(1001 / parts) rounds on a 4-hop line: 1001; 501, 500;
+    334, 334, 333; seven of 143."""
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * -(-1001 // parts))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_partitions_counts_equal(parts, monkeypatch):
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     profile = SensorProfile(seed=8)
-    counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile, workers=workers)
     serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
+    split_1001_rounds(monkeypatch, parts)
+    counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
     slot = min_slot_duration(len(topo.node_ids))
     stepped = sim._simulate_rounds(topo, ANCHOR, 8, 0, 1001, slot, profile, False)
     assert counted.hops == serial.hops
@@ -287,16 +293,17 @@ def test_noiseless_sensor_monitor_rows_equal():
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 7])
-def test_partitions_monitor_rows_equal(workers):
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_partitions_monitor_rows_equal(parts, monkeypatch):
+    split_1001_rounds(monkeypatch, parts)
     topo = linear_topology(range(5), turbidity_ntu=70.0)
-    assert_monitor_agrees(topo, ANCHOR, 1001, 8, workers=workers)
+    assert_monitor_agrees(topo, ANCHOR, 1001, 8)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_one_canary_round_per_run(workers, monkeypatch):
-    # workers only sizes the counting blocks: one pass, one round replayed
-    # through the reference engine, the same report as workers=1
+    # workers is checked but sizes nothing: in seven blocks too, one pass,
+    # one round replayed through the reference engine, the workers=1 report
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
     simulate = sim._simulate_rounds
@@ -307,8 +314,27 @@ def test_one_canary_round_per_run(workers, monkeypatch):
         return simulate(topology, params, seed, first_round, last_round, *rest)
 
     monkeypatch.setattr(sim, "_simulate_rounds", counted)
+    split_1001_rounds(monkeypatch, 7)
     report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
     assert replayed == [1]
+    assert report == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7, 5000])
+def test_workers_leaves_the_block_plan(workers, monkeypatch):
+    # the blocks depend on the line alone: 1001 rounds on 4 hops are one
+    # block whatever workers is (it starts no thread or process)
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
+    readings, block_rounds = sim._readings, []
+
+    def counted_readings(topology, rnd, *rest):
+        block_rounds.append(len(rnd))
+        return readings(topology, rnd, *rest)
+
+    monkeypatch.setattr(sim, "_readings", counted_readings)
+    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
+    assert block_rounds == [1001]
     assert report == serial
 
 
@@ -657,9 +683,9 @@ def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
         for t in SWEEP_NTU
     ]
     assert not monitor or all(r.monitor_rows for r in expected)
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 150)  # blocks of 150, 150, 1 rounds
-    for workers in (1, 3):  # 3: blocks of 101, 101, 99 rounds
-        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, workers=workers, **kwargs)
+    for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * block_rounds)
+        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, workers=3, **kwargs)
         assert swept == expected
 
 

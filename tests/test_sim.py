@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from uwocnet import sim
 from uwocnet.channel import (
     ChannelParams,
     LinkSpec,
@@ -64,6 +65,17 @@ def test_linear_topology_roles_and_defaults():
     assert all(l.turbidity_ntu == 3.0 for l in topo.links)
     swapped = topo.with_turbidity(50.0)
     assert all(l.turbidity_ntu == 50.0 for l in swapped.links)
+    # a heterogeneous line keeps each link's distance and extra loss
+    hetero = linear_topology(
+        range(3), link_distance_m=(3.0, 5.0), extra_loss=(0.5, 1.0)
+    )
+    assert hetero.with_turbidity(70.0).links == (
+        LinkSpec(3.0, 70.0, 0.5), LinkSpec(5.0, 70.0, 1.0)
+    )
+    # and every LinkSpec check still runs
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="turbidity_ntu"):
+            hetero.with_turbidity(bad)
 
 
 def test_linear_topology_per_link_distances():
@@ -229,14 +241,14 @@ def test_run_scenario_reproducible():
     ]
 
 
-def test_run_scenario_parallel_plans_identical():
+def test_run_scenario_parallel_plans_identical(monkeypatch):
     params = lossy_params(0.9)
     topo = linear_topology(range(5))
     serial = run_scenario(topo, params, 3000, seed=5, collect_monitor=True)
-    for workers in (2, 4):
-        par = run_scenario(
-            topo, params, 3000, seed=5, collect_monitor=True, workers=workers
-        )
+    # blocks of 1001, 1001, 998 rounds, then 20 of 143 and one of 140
+    for block_rounds in (1001, 143):
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * block_rounds)
+        par = run_scenario(topo, params, 3000, seed=5, collect_monitor=True, workers=4)
         assert par == serial
 
 
