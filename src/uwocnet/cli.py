@@ -181,6 +181,11 @@ def cmd_calibrate(config: ScenarioConfig, args) -> CommandOutput:
 
 def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
     turbidities = _parse_turbidities(args)
+    label = args.label or Path(args.config).stem
+    if any(c in label for c in ',"\r\n'):
+        raise UsageError(
+            f"CSV label {label!r} has a comma, quote or line break; set --label"
+        )
     reports = sweep(
         config.topology(),
         config.channel,
@@ -190,9 +195,8 @@ def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
         slot_duration=config.slot_duration(),
         bit_rate=config.bit_rate,
         profile=config.sensor,
-        workers=args.workers,
     )
-    csv_text = render_psr_csv(reports, args.label or Path(args.config).stem)
+    csv_text = render_psr_csv(reports, label)
     hops = len(reports[0].hops)
     summary = [f"{'turbidity_ntu':>13}  {'final_hop':>9}  {'cumulative_psr':>14}"]
     summary += [
@@ -217,7 +221,6 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
         bit_rate=config.bit_rate,
         profile=config.sensor,
         collect_monitor=True,
-        workers=args.workers,
     )
     delivered = len(report.monitor_log[0])  # monitor_rows would build every row
     summary = [
@@ -242,13 +245,6 @@ def build_parser() -> _Parser:
         p.add_argument("--rounds", type=int, default=None, help="override rounds")
         p.add_argument("--out", default=None, help="file to write")
 
-    def simulating(p: argparse.ArgumentParser) -> None:
-        common(p)
-        p.add_argument(
-            "--workers", type=int, default=1,
-            help="checked >= 1; changes neither speed nor output",
-        )
-
     p_cal = sub.add_parser("calibrate", help="fit channel parameters to PSR targets")
     common(p_cal)
     p_cal.add_argument(
@@ -269,7 +265,7 @@ def build_parser() -> _Parser:
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_sweep = sub.add_parser("sweep", help="PSR vs turbidity sweep to CSV")
-    simulating(p_sweep)
+    common(p_sweep)
     p_sweep.add_argument(
         "--turbidity", default=None, help="comma-separated NTU list"
     )
@@ -277,7 +273,7 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_mon = sub.add_parser("monitor", help="write the delivered-temperature log")
-    simulating(p_mon)
+    common(p_mon)
     p_mon.add_argument(
         "--turbidity", default=None, help="single NTU value (default 0.01)"
     )

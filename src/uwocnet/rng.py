@@ -2,8 +2,8 @@
 
 Every stochastic decision in a run is drawn from a substream addressed by
 (root seed, trial index, hop index, domain tag).  Substream output depends
-only on that address, never on execution order, so serial runs and any
-parallel partition of trials produce bit-identical results.
+only on that address, never on execution order, so any blocking of
+rounds produces bit-identical results.
 
 The generator is the splitmix64 output function applied to a per-substream
 state plus a word counter (the scheme used by Java's SplittableRandom).

@@ -27,10 +27,11 @@ on every run, a canary: the counting engine replays its first round through
 it and raises RuntimeError if the counts or that round's monitor row differ.
 
 A run is one pass in this process, in blocks of rounds whose size depends
-only on the line's length; workers is checked but changes neither the
-blocks, the speed nor the output.  Readings and frame lengths do not depend
-on turbidity or seed, so a sweep takes each block's once for every turbidity
-that shares a sensor profile, then counts each turbidity on it in turn.
+only on the line's length.  Only run_scenario keeps a workers keyword, for
+API callers: it is checked but changes neither the blocks, the speed nor
+the output.  Readings and frame lengths do not depend on turbidity or
+seed, so a sweep takes each block's once for every turbidity that shares a
+sensor profile, then counts each turbidity on it in turn.
 """
 
 from __future__ import annotations
@@ -423,13 +424,10 @@ def _reports(
     slot_duration: float | None = None,
     bit_rate: float = nd.DEFAULT_BIT_RATE,
     collect_monitor: bool = False,
-    workers: int = 1,
 ) -> list[PsrReport]:
     """run_scenario of each (topology, seed) of scenarios, in one pass."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     node_ids = scenarios[0][0].node_ids
     if slot_duration is None:
         slot_duration = nd.min_slot_duration(len(node_ids), bit_rate)
@@ -480,13 +478,16 @@ def run_scenario(
     frame at bit_rate.  The counting engine computes the counts and, with
     collect_monitor, the sink's log of every delivered round as the columns
     of PsrReport.monitor_log, exactly as the reference engine would, in one
-    pass that replays one round through the reference engine.  workers must
-    be >= 1 and changes neither the blocks, the speed nor the output.
+    pass that replays one round through the reference engine.  workers is
+    kept for API callers only: it must be >= 1 and changes neither the
+    blocks, the speed nor the output.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(
         [(topology, seed)], params, rounds, profile, slot_duration, bit_rate,
-        collect_monitor, workers,
+        collect_monitor,
     )[0]
 
 

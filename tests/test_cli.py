@@ -306,19 +306,16 @@ def test_unwritable_output_is_io_error(command, base_cfg, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("i/o error:")
 
 
-def test_calibrate_rejects_workers_flag(base_cfg, capsys):
-    # calibrate simulates no rounds, so it has no --workers option
-    code = main(
-        [
-            "calibrate",
-            "--config", str(base_cfg),
-            "--target", "0.01:16:4:0.95",
-            "--target", "70:16:4:0.89",
-            "--workers", "2",
-        ]
-    )
-    assert code == EXIT_USAGE
-    assert "--workers" in capsys.readouterr().err
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_every_command_rejects_workers_flag(command, base_cfg, tmp_path, capsys):
+    # one pass per run: no command has a --workers option
+    out = tmp_path / "out"
+    argv = [command, "--config", str(base_cfg), *COMMAND_ARGS[command]]
+    assert main(argv + ["--workers", "2", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith("error: unrecognized arguments: --workers"), err
+    assert not out.exists()
 
 
 # --- sweep ------------------------------------------------------------------
@@ -374,15 +371,6 @@ def test_sweep_deterministic_byte_identical(lossy_cfg, tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_sweep_parallel_matches_serial(lossy_cfg, tmp_path):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["sweep", "--config", str(lossy_cfg), "--turbidity", "10,40"]
-    assert main(args + ["--out", str(serial), "--workers", "1"]) == EXIT_OK
-    assert main(args + ["--out", str(parallel), "--workers", "2"]) == EXIT_OK
-    assert serial.read_bytes() == parallel.read_bytes()
 
 
 def test_sweep_seed_flag_changes_output(lossy_cfg, tmp_path):
@@ -454,8 +442,7 @@ def test_sweep_csv_golden(config, blocks, tmp_path, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 1001)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--turbidity", "0.01,35,70"]
-    # --workers is checked but changes nothing
-    argv += ["--rounds", "3000", "--workers", "3", "--out", str(out)]
+    argv += ["--rounds", "3000", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GOLDEN[config]
 
@@ -620,7 +607,7 @@ def test_append_flags_do_not_leak_into_the_next_call(
 @pytest.mark.parametrize(
     "bad",
     [
-        ["monitor", "--workers", "x"],
+        ["monitor", "--seed", "x"],
         ["monitor", "--bogus"],
         ["monitor", "--seed"],
         ["frobnicate"],
@@ -687,6 +674,7 @@ THREE_NODES = "topology.nodes = 0:180, 1:170, 2:154\ntraffic.rounds = 50\n"
 SWEEP = ["sweep", "--turbidity", "1"]
 HOT_SENSOR = "sensor.baseline_c = 84.99\nsensor.noise_std_c = 1.0"
 CALIBRATE = ["calibrate", "--target", "0.01:16:2:0.95"]
+UNRECOGNIZED_WORKERS = "error: unrecognized arguments: --workers"
 
 
 @pytest.mark.parametrize(
@@ -702,8 +690,8 @@ CALIBRATE = ["calibrate", "--target", "0.01:16:2:0.95"]
         ("", ["sweep", "--turbidity", "nan"], EXIT_USAGE, "error:"),
         ("", ["sweep", "--turbidity", "inf"], EXIT_USAGE, "error:"),
         ("", ["monitor", "--turbidity", "nan"], EXIT_USAGE, "error:"),
-        ("", SWEEP + ["--workers", "0"], EXIT_USAGE, "error: workers"),
-        ("", ["monitor", "--workers", "0"], EXIT_USAGE, "error: workers"),
+        ("", SWEEP + ["--workers", "0"], EXIT_USAGE, UNRECOGNIZED_WORKERS),
+        ("", ["monitor", "--workers", "0"], EXIT_USAGE, UNRECOGNIZED_WORKERS),
         # readings above 85 degC cannot be encoded: a simulation failure
         (HOT_SENSOR, SWEEP, EXIT_FAILURE, "simulation failed: temperature"),
         (HOT_SENSOR, ["monitor"], EXIT_FAILURE, "simulation failed: temperature"),
@@ -712,15 +700,20 @@ CALIBRATE = ["calibrate", "--target", "0.01:16:2:0.95"]
         ("", ["sweep", "--turbidity", ","], EXIT_USAGE, "error: --turbidity"),
         ("", CALIBRATE + ["--fix", "noise_sigma"], EXIT_USAGE, "error: --fix"),
         ("", CALIBRATE + ["--fix", "noise_sigma=x"], EXIT_USAGE, "error: bad --fix"),
+        # a CSV label, by default the config's stem, holds no CSV syntax
+        ("", SWEEP + ["--config", "a,b.cfg"], EXIT_USAGE, "error: CSV label 'a,b'"),
+        ("", SWEEP + ["--label", "x\ny"], EXIT_USAGE, "error: CSV label 'x\\ny'"),
     ],
 )
 def test_bad_input_exits_with_one_error_line(
-    config_lines, argv, code, prefix, tmp_path, capsys
+    config_lines, argv, code, prefix, tmp_path, monkeypatch, capsys
 ):
-    cfg = tmp_path / "bad.cfg"
+    monkeypatch.chdir(tmp_path)
+    if "--config" not in argv:
+        argv = argv + ["--config", "bad.cfg"]
+    cfg = Path(argv[argv.index("--config") + 1])
     cfg.write_text(THREE_NODES + config_lines + "\n")
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == code
+    assert main(argv + ["--out", "out.csv"]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(prefix), err
-    assert not out.exists()
+    assert not Path("out.csv").exists()

@@ -685,7 +685,7 @@ def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
     assert not monitor or all(r.monitor_rows for r in expected)
     for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * block_rounds)
-        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, workers=3, **kwargs)
+        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, **kwargs)
         assert swept == expected
 
 
