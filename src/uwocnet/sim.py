@@ -23,22 +23,21 @@ row is the transmitters' readings at wire resolution plus the sink's own
 reading, kept as columns built per block from the same readings; the
 sink's noise words are drawn per block too, and only libm's sin/log/cos run
 per row.  The reference engine is the differential oracle of the tests and,
-on every run, a canary: the counting engine replays its first round through
-it and raises RuntimeError if the counts or that round's monitor row differ.
+on every pass, a canary: the counting engine replays its first round once
+for all scenarios and raises RuntimeError if a count or monitor row differs.
 
 A run is one pass in this process, in blocks of rounds whose size depends
 only on the line's length.  Only run_scenario keeps a workers keyword, for
 API callers: it is checked but changes neither the blocks, the speed nor
-the output.  Readings and frame lengths do not depend on turbidity or
-seed, so a sweep takes each block's once for every turbidity that shares a
-sensor profile, then counts each turbidity on it in turn.
+the output.  Readings, frame lengths and node states do not depend on
+turbidity or seed, so a sweep takes each block's readings, and steps the
+canary's nodes, once for every turbidity that shares a sensor profile.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -223,28 +222,27 @@ def scenario_seed(root_seed: int, turbidity_ntu: float) -> int:
 
 
 def _simulate_rounds(
-    topology: Topology,
+    scenarios: list[tuple[Topology, int]],
     params: ChannelParams,
-    seed: int,
     first_round: int,
     last_round: int,
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool,
-) -> tuple[list[int], list[int], list[int], list[MonitorRow]]:
-    """Simulate rounds [first_round, last_round); returns raw counters."""
-    hops = topology.hop_count
-    links = topology.links
-    attempted = [0] * hops
-    delivered = [0] * hops
-    frame_bytes_sum = [0] * hops
-    monitor: list[MonitorRow] = []
+) -> list[tuple[list[int], list[int], list[int], list[MonitorRow]]]:
+    """Simulate rounds [first_round, last_round) of each (topology, seed) of
+    scenarios (same node ids and keys); returns each one's raw counters.
+    node.step never sees the channel, so the scenarios live at a hop share
+    its node states and frame: the nodes step once for all of them."""
     # NodeStates are immutable values: every round starts from the same
     # idle template, so the list is rebuilt by copy, not reconstruction.
-    template = topology.node_states(profile)
+    template = scenarios[0][0].node_states(profile)
+    hops = len(template) - 1
+    runs = [(t.links, s, [0] * hops, [0] * hops, [0] * hops, []) for t, s in scenarios]
 
     for rnd in range(first_round, last_round):
         states = list(template)
+        live = runs
         for h in range(hops):
             start = nd.slot_start(rnd, h, hops, slot_duration)
             end = start + slot_duration
@@ -257,15 +255,22 @@ def _simulate_rounds(
                 raise RuntimeError(
                     f"node {states[h].node_id} had nothing to transmit in a live round"
                 )
-            attempted[h] += 1
-            frame_bytes_sum[h] += len(data)
-            stream = Substream(seed, _LINK_STREAM_TAG, rnd, h)
-            rx_data, corrupted = transmit_over_link(data, links[h], params, stream)
-            if corrupted:
+            arrived = []
+            for run in live:
+                links, seed, attempted, delivered, frame_bytes_sum, _ = run
+                attempted[h] += 1
+                frame_bytes_sum[h] += len(data)
+                stream = Substream(seed, _LINK_STREAM_TAG, rnd, h)
+                rx_data, corrupted = transmit_over_link(data, links[h], params, stream)
+                if not corrupted:
+                    delivered[h] += 1
+                    arrived.append(run)
+                    intact = rx_data
+            live = arrived
+            if not live:
                 break
-            delivered[h] += 1
             rx_state, _ = nd.step(states[h + 1], nd.SlotStart("rx", start))
-            rx_state, _ = nd.step(rx_state, nd.BytesArrived(rx_data, start))
+            rx_state, _ = nd.step(rx_state, nd.BytesArrived(intact, start))
             rx_state, actions = nd.step(rx_state, nd.SlotEnd(end))
             states[h + 1] = rx_state
             for act in actions:
@@ -276,8 +281,10 @@ def _simulate_rounds(
                     )
                 if isinstance(act, nd.DeliverToMonitor) and collect_monitor:
                     temps = tuple(r.temperature_c for r in act.frame.records)
-                    monitor.append(MonitorRow(rnd, act.time, temps))
-    return attempted, delivered, frame_bytes_sum, monitor
+                    row = MonitorRow(rnd, act.time, temps)
+                    for run in live:
+                        run[-1].append(row)
+    return [run[2:] for run in runs]
 
 
 def _readings(
@@ -374,7 +381,7 @@ def _count_rounds(
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
     its rows as monitor_log columns, in blocks of _BLOCK_CELLS // hops
     rounds: a block's readings and frame lengths serve every scenario in
-    list order, and each replays its first round as a canary."""
+    list order, and one replay of the first round is every one's canary."""
     topology = scenarios[0][0]
     bers = [[link_ber(params, link) for link in topo.links] for topo, _ in scenarios]
     totals = np.zeros((len(scenarios), 3, topology.hop_count), np.int64)
@@ -386,13 +393,14 @@ def _count_rounds(
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
         nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
         valid = fr.raw_in_range(raw)
+        heads = []
         for (topo, seed), ber, total, log in zip(scenarios, bers, totals, logs):
-            replay = partial(_simulate_rounds, topo, params, seed)
             live, delivered, sent, bad = _block_outcomes(ber, seed, rnd, nbytes, valid)
             if bad.any():
                 # The reference engine raises RecordOutOfRange on this round.
                 r = lo + int(np.nonzero(bad.any(axis=1))[0][0])
-                replay(r, r + 1, slot_duration, profile, False)
+                _simulate_rounds([(topo, seed)], params, r, r + 1, slot_duration,
+                                 profile, False)
                 raise RuntimeError(
                     f"round {r}: counting engine saw an out-of-range record"
                 )
@@ -401,18 +409,20 @@ def _count_rounds(
                 new = _monitor_columns(topology, rnd, clocks, raw, delivered, profile)
                 for column, more in zip(log, new):
                     column.extend(more)
-            if lo == first_round:
-                *canary, canary_rows = replay(
-                    lo, lo + 1, slot_duration, profile, collect_monitor
-                )
+            heads.append(counts[:, 0].tolist())
+            total += counts.sum(axis=1)
+        if lo == first_round:
+            canaries = _simulate_rounds(
+                scenarios, params, lo, lo + 1, slot_duration, profile, collect_monitor
+            )
+            for head, log, (*canary, canary_rows) in zip(heads, logs, canaries):
                 r, t, *temps = next(zip(*log or ()), (None, None))  # first logged row
                 first = [MonitorRow(r, t, tuple(temps))] if r == lo else []
-                if counts[:, 0].tolist() != canary or first != canary_rows:
+                if head != canary or first != canary_rows:
                     raise RuntimeError(
-                        f"counting engine gives {counts[:, 0].tolist()} {first} for "
+                        f"counting engine gives {head} {first} for "
                         f"round {lo}, reference engine {canary} {canary_rows}"
                     )
-            total += counts.sum(axis=1)
     return [(*total.tolist(), log) for total, log in zip(totals, logs)]
 
 

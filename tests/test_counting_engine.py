@@ -45,7 +45,7 @@ def engine_counts(topo, params, rounds, seed, profile=None, first=0):
     slot = min_slot_duration(len(topo.node_ids))
     args = (first, first + rounds, slot, profile)
     [counted] = sim._count_rounds([(topo, seed)], params, *args)
-    stepped = sim._simulate_rounds(topo, params, seed, *args, False)
+    [stepped] = sim._simulate_rounds([(topo, seed)], params, *args, False)
     return counted[:3], stepped[:3]
 
 
@@ -75,8 +75,8 @@ def assert_monitor_agrees(topo, params, rounds, seed, profile=None):
     """run_scenario's monitor rows and counts against the reference engine's."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    *counts, rows = sim._simulate_rounds(
-        topo, params, seed, 0, rounds, slot, profile, True
+    [(*counts, rows)] = sim._simulate_rounds(
+        [(topo, seed)], params, 0, rounds, slot, profile, True
     )
     report = run_scenario(
         topo, params, rounds, seed, profile=profile, collect_monitor=True
@@ -176,7 +176,7 @@ def test_partitions_counts_equal(parts, monkeypatch):
     split_1001_rounds(monkeypatch, parts)
     counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
     slot = min_slot_duration(len(topo.node_ids))
-    stepped = sim._simulate_rounds(topo, ANCHOR, 8, 0, 1001, slot, profile, False)
+    [stepped] = sim._simulate_rounds([(topo, 8)], ANCHOR, 0, 1001, slot, profile, False)
     assert counted.hops == serial.hops
     assert hop_fields(counted) == stepped_fields(*stepped[:3])
     assert counted.monitor_rows is None
@@ -309,9 +309,9 @@ def test_one_canary_round_per_run(workers, monkeypatch):
     simulate = sim._simulate_rounds
     replayed = []
 
-    def counted(topology, params, seed, first_round, last_round, *rest):
+    def counted(scenarios, params, first_round, last_round, *rest):
         replayed.append(last_round - first_round)
-        return simulate(topology, params, seed, first_round, last_round, *rest)
+        return simulate(scenarios, params, first_round, last_round, *rest)
 
     monkeypatch.setattr(sim, "_simulate_rounds", counted)
     split_1001_rounds(monkeypatch, 7)
@@ -350,7 +350,7 @@ def test_partition_from_a_late_round_monitor_rows_equal():
     slot = min_slot_duration(len(topo.node_ids))
     args = (10**9, 10**9 + 500, slot, profile, True)
     [(*counts, log)] = sim._count_rounds([(topo, 3)], ANCHOR, *args)
-    *stepped, rows = sim._simulate_rounds(topo, ANCHOR, 3, *args)
+    [(*stepped, rows)] = sim._simulate_rounds([(topo, 3)], ANCHOR, *args)
     assert counts == stepped
     assert sim.PsrReport(70.0, 500, 3, [], log).monitor_rows == tuple(rows)
     assert 0 < len(rows) < 500
@@ -415,8 +415,8 @@ def test_schedule_windows_are_the_reference_engines_slot_times(nodes, monkeypatc
     topo = linear_topology(range(nodes))
     slot = min_slot_duration(nodes)
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
-    attempted, delivered, *_ = sim._simulate_rounds(
-        topo, clean, 3, 1, 200, slot, SensorProfile(seed=3), False
+    [(attempted, delivered, *_)] = sim._simulate_rounds(
+        [(topo, 3)], clean, 1, 200, slot, SensorProfile(seed=3), False
     )
     assert delivered == attempted == [199] * (nodes - 1)
     expected = [
@@ -530,7 +530,7 @@ def test_monitor_log_builds_no_row_objects(monkeypatch):
     assert len(report.monitor_log[0]) > 1800
     monkeypatch.setattr(sim, "MonitorRow", original)
     args = (0, 2000, min_slot_duration(len(topo.node_ids)), SensorProfile(seed=1))
-    *_, rows = sim._simulate_rounds(topo, ANCHOR, 1, *args, True)
+    [(*_, rows)] = sim._simulate_rounds([(topo, 1)], ANCHOR, *args, True)
     assert report.monitor_rows == tuple(rows)
 
 
@@ -699,17 +699,60 @@ def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
         block_rounds.append(len(rnd))
         return readings(topology, rnd, *rest)
 
-    def counted_replays(topology, params, seed, first_round, last_round, *rest):
-        replayed.append((seed, first_round, last_round))
-        return simulate(topology, params, seed, first_round, last_round, *rest)
+    def counted_replays(scenarios, params, first_round, last_round, *rest):
+        replayed.append(([seed for _, seed in scenarios], first_round, last_round))
+        return simulate(scenarios, params, first_round, last_round, *rest)
 
     monkeypatch.setattr(sim, "_readings", counted_readings)
     monkeypatch.setattr(sim, "_simulate_rounds", counted_replays)
     sim.sweep(linear_topology(range(5)), ANCHOR, SWEEP_NTU, 301, 4,
               profile=SensorProfile(seed=4), collect_monitor=monitor)
     assert block_rounds == [100, 100, 100, 1]
-    # and every turbidity still replays its first round through the nodes
-    assert replayed == [(sim.scenario_seed(4, t), 0, 1) for t in SWEEP_NTU]
+    # and one replay of the first round through the nodes covers every turbidity
+    assert replayed == [([sim.scenario_seed(4, t) for t in SWEEP_NTU], 0, 1)]
+
+
+@pytest.mark.parametrize("monitor", [False, True])
+def test_shared_replay_equals_one_replay_per_scenario(monitor):
+    # The nodes step once for all scenarios, on the bytes a live one received;
+    # the last scenario's hop 0 (5 m) rarely delivers, so it is often the
+    # last one drawn while the others are still live.
+    topo, profile = linear_topology(range(5)), SensorProfile(seed=9)
+    scenarios = [(topo.with_turbidity(t), sim.scenario_seed(9, t)) for t in SWEEP_NTU]
+    rare = linear_topology(range(5), link_distance_m=(5, 4, 4, 4), turbidity_ntu=70.0)
+    scenarios.append((rare, 9))
+    args = (0, 300, min_slot_duration(5), profile, monitor)
+    shared = sim._simulate_rounds(scenarios, ANCHOR, *args)
+    assert shared == [sim._simulate_rounds([s], ANCHOR, *args)[0] for s in scenarios]
+    assert 0 < shared[-1][1][0] < 100  # hop 0 of the rare line
+    counted = sim._count_rounds(scenarios, ANCHOR, *args)
+    for (*stepped, rows), (*counts, log) in zip(shared, counted):
+        assert counts == stepped
+        if monitor:
+            assert sim.PsrReport(70.0, 300, 9, [], log).monitor_rows == tuple(rows)
+        else:
+            assert log is None and rows == []
+
+
+def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
+    # the canary of a sweep sharing one sensor profile steps no more nodes
+    # than that of its costliest turbidity alone
+    steps = []
+    original = nd.step
+
+    def counted(state, event):
+        steps.append(state.node_id)
+        return original(state, event)
+
+    def node_steps(turbidities):
+        steps.clear()
+        sim.sweep(linear_topology(range(5)), ANCHOR, turbidities, 50, 0,
+                  profile=SensorProfile(seed=0))
+        return len(steps)
+
+    monkeypatch.setattr(nd, "step", counted)
+    alone = [node_steps([t]) for t in SWEEP_NTU]
+    assert node_steps(SWEEP_NTU) == max(alone) > 0
 
 
 def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
