@@ -20,6 +20,10 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 BINOMIAL_CHUNK = 1024  # trials per uniform in Substream.binomial
+# numpy forms of the constants, built once rather than on every array call
+_U11, _U27, _U30, _U31, _UGOLDEN, _UMUL1, _UMUL2 = map(
+    np.uint64, (11, 27, 30, 31, _GOLDEN, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
 
 
 def _mix(z: int) -> int:
@@ -39,10 +43,14 @@ def derive_state(seed: int, *words: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """_mix over a uint64 array; array arithmetic wraps modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """_mix over a uint64 array, in place: callers pass a temporary of their
+    own, never an input array.  Array arithmetic wraps modulo 2**64."""
+    z ^= z >> _U30
+    z *= _UMUL1
+    z ^= z >> _U27
+    z *= _UMUL2
+    z ^= z >> _U31
+    return z
 
 
 def derive_states(seed, *words) -> np.ndarray:
@@ -58,7 +66,7 @@ def derive_states(seed, *words) -> np.ndarray:
         else:
             w = np.uint64(w & _MASK64)
         if isinstance(s, np.ndarray):
-            s = _mix_array((s + np.uint64(_GOLDEN)) ^ w)
+            s = _mix_array((s + _UGOLDEN) ^ w)
         elif isinstance(w, np.ndarray):
             s = _mix_array(np.uint64((s + _GOLDEN) & _MASK64) ^ w)
         else:
@@ -75,7 +83,8 @@ def uniform_at(states: np.ndarray, i: int) -> np.ndarray:
     the same address, provided every earlier draw consumed one word.
     """
     word = _mix_array(states + np.uint64(((i + 1) * _GOLDEN) & _MASK64))
-    return (word >> np.uint64(11)).astype(np.float64) * 1.1102230246251565e-16
+    word >>= _U11
+    return word.astype(np.float64) * 1.1102230246251565e-16
 
 
 def derive_seed(seed: int, *words: int) -> int:

@@ -31,7 +31,9 @@ only on the line's length.  Only run_scenario keeps a workers keyword, for
 API callers: it is checked but changes neither the blocks, the speed nor
 the output.  Readings, frame lengths and node states do not depend on
 turbidity or seed, so a sweep takes each block's readings, and steps the
-canary's nodes, once for every turbidity that shares a sensor profile.
+canary's nodes, once for every turbidity that shares a sensor profile; the
+link words are keyed by (seed, round, hop) alone, so one draw per block
+serves every turbidity of the pass, within _BLOCK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .rng import (
 
 _LINK_STREAM_TAG = 0xC4A7_0001
 _SCENARIO_TAG = 0x5CEA_0001
-# (round, hop) cells per counting-engine block: bounds its memory at any
-# round count and line length.
+# (scenario, round, hop) cells per counting-engine draw: bounds its memory
+# at any round count, line length and turbidity count.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -308,41 +310,43 @@ def _readings(
 
 
 def _block_outcomes(
-    bers: list[float],
-    seed: int,
+    bers: np.ndarray,
+    seeds: np.ndarray,
     rnd: np.ndarray,
     nbytes: np.ndarray,
     valid: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What _simulate_rounds meets on each hop of rounds rnd, given each
-    hop's frame length and whether its transmitter's reading is in range.
+    """What _simulate_rounds meets on each hop of rounds rnd in each scenario
+    (bers of shape (scenarios, hops), seeds uint64), given each hop's frame
+    length and whether its transmitter's reading is in range.
 
     Returns (attempted, delivered, frame bytes sent, out-of-range record
-    encoded), each an array of shape (rounds, hops).
+    encoded), each an array of shape (scenarios, rounds, hops).
     """
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above the chunk's
     # zero-draw probability (1.0 for 0 bits or BER 0, which no uniform in
     # [0, 1) exceeds; BER 1 cannot occur, as OOK's BER is at most 0.5).
     # Each hop's frame is its shortest in the block plus 0..E escape bytes,
-    # so each chunk's thresholds are scalar math once per (extra bytes,
-    # hop), looked up by every cell: a table, no sort.
-    rounds_states = derive_states(seed, _LINK_STREAM_TAG, rnd)
-    hop = np.arange(len(bers))
-    states = derive_states(rounds_states[:, None], hop)
+    # so each chunk's thresholds are scalar math once per (scenario, extra
+    # bytes, hop), looked up by every cell: a table, no sort.
+    rounds_states = derive_states(seeds[:, None], _LINK_STREAM_TAG, rnd)
+    hop = np.arange(bers.shape[1])
+    states = derive_states(rounds_states[:, :, None], hop)
     shortest = nbytes.min(axis=0)
     extra = nbytes - shortest
     by_extra = shortest + np.arange(int(extra.max()) + 1)[:, None]
     frame_bits = BITS_PER_BYTE_ON_WIRE * by_extra
-    ok = np.ones(nbytes.shape, dtype=bool)
+    ok = np.ones(states.shape, dtype=bool)
     for c in range(-(-BITS_PER_BYTE_ON_WIRE * int(nbytes.max()) // BINOMIAL_CHUNK)):
         m = np.clip(frame_bits - c * BINOMIAL_CHUNK, 0, BINOMIAL_CHUNK).tolist()
-        table = np.array(
-            [[zero_draw_probability(b, ber) for b, ber in zip(row, bers)] for row in m]
-        )
-        ok &= ~(uniform_at(states, c) > table[extra, hop])
+        table = np.array([
+            [[zero_draw_probability(b, ber) for b, ber in zip(row, line)] for row in m]
+            for line in bers.tolist()
+        ])
+        ok &= ~(uniform_at(states, c) > table[:, extra, hop])
     live = np.ones(ok.shape, dtype=bool)
-    live[:, 1:] = np.logical_and.accumulate(ok[:, :-1], axis=1)
+    live[..., 1:] = np.logical_and.accumulate(ok[..., :-1], axis=-1)
     return live, live & ok, live * nbytes, live & ~valid
 
 
@@ -380,37 +384,44 @@ def _count_rounds(
 ) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
     its rows as monitor_log columns, in blocks of _BLOCK_CELLS // hops
-    rounds: a block's readings and frame lengths serve every scenario in
-    list order, and one replay of the first round is every one's canary."""
+    rounds: a block's readings and frame lengths serve every scenario, one
+    draw each list-order group of _BLOCK_CELLS (scenario, round, hop) cells
+    (every scenario, at a few hundred rounds), and one replay of the first
+    round is every one's canary.  Seeds are taken modulo 2**64."""
     topology = scenarios[0][0]
-    bers = [[link_ber(params, link) for link in topo.links] for topo, _ in scenarios]
-    totals = np.zeros((len(scenarios), 3, topology.hop_count), np.int64)
+    hops = topology.hop_count
+    bers = np.array([[link_ber(params, l) for l in t.links] for t, _ in scenarios])
+    seeds = np.array([s & (2**64 - 1) for _, s in scenarios], dtype=np.uint64)
+    totals = np.zeros((len(scenarios), 3, hops), np.int64)
     width = len(topology.node_ids) + 2
     logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
-    block = max(1, _BLOCK_CELLS // topology.hop_count)
+    block = max(1, _BLOCK_CELLS // hops)
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
         nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
         valid = fr.raw_in_range(raw)
+        group = max(1, _BLOCK_CELLS // (len(rnd) * hops))
         heads = []
-        for (topo, seed), ber, total, log in zip(scenarios, bers, totals, logs):
-            live, delivered, sent, bad = _block_outcomes(ber, seed, rnd, nbytes, valid)
+        for g in range(0, len(scenarios), group):
+            part = slice(g, g + group)
+            *counts, bad = _block_outcomes(bers[part], seeds[part], rnd, nbytes, valid)
             if bad.any():
                 # The reference engine raises RecordOutOfRange on this round.
-                r = lo + int(np.nonzero(bad.any(axis=1))[0][0])
-                _simulate_rounds([(topo, seed)], params, r, r + 1, slot_duration,
-                                 profile, False)
+                i, r = np.argwhere(bad.any(axis=2))[0].tolist()
+                _simulate_rounds([scenarios[g + i]], params, lo + r, lo + r + 1,
+                                 slot_duration, profile, False)
                 raise RuntimeError(
-                    f"round {r}: counting engine saw an out-of-range record"
+                    f"round {lo + r}: counting engine saw an out-of-range record"
                 )
-            counts = np.stack([live, delivered, sent])
-            if log is not None:
-                new = _monitor_columns(topology, rnd, clocks, raw, delivered, profile)
-                for column, more in zip(log, new):
-                    column.extend(more)
-            heads.append(counts[:, 0].tolist())
-            total += counts.sum(axis=1)
+            counts = np.stack(counts, axis=1)
+            totals[part] += np.einsum("scrh->sch", counts)  # sum over rounds
+            heads += counts[:, :, 0].tolist()
+            for log, done in zip(logs[part], counts[:, 1]):
+                if log is not None:
+                    new = _monitor_columns(topology, rnd, clocks, raw, done, profile)
+                    for column, more in zip(log, new):
+                        column.extend(more)
         if lo == first_round:
             canaries = _simulate_rounds(
                 scenarios, params, lo, lo + 1, slot_duration, profile, collect_monitor

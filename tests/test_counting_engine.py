@@ -369,6 +369,24 @@ def test_vector_substream_words_match_substream():
                 stream = Substream(99, 0xC4A7_0001, int(rnd), h)
                 draws = [stream.uniform() for _ in range(c + 1)]
                 assert u[i, h] == draws[-1]
+    # a uint64 seed array, as the counting engine passes a block's scenarios;
+    # the array functions mix their own temporaries, never their inputs
+    seeds = np.array([0, 1, 2**63 - 1, 2**64 - 1], dtype=np.uint64)
+    hops = np.arange(3)
+    inputs = [seeds, rounds, hops]
+    kept = [a.copy() for a in inputs]
+    rounds_states = derive_states(seeds[:, None], 0xC4A7_0001, rounds)
+    inputs.append(rounds_states)
+    kept.append(rounds_states.copy())
+    states = derive_states(rounds_states[:, :, None], hops)
+    inputs.append(states)
+    kept.append(states.copy())
+    draws = np.stack([uniform_at(states, c) for c in range(3)], axis=-1)
+    for a, b in zip(inputs, kept):
+        assert np.array_equal(a, b)
+    for (k, i, h), _ in np.ndenumerate(states):
+        stream = Substream(int(seeds[k]), 0xC4A7_0001, int(rounds[i]), h)
+        assert draws[k, i, h].tolist() == [stream.uniform() for _ in range(3)]
 
 
 def test_record_length_matches_encoder():
@@ -759,15 +777,89 @@ def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
     second = sim.scenario_seed(0, SWEEP_NTU[1])
     original = sim._block_outcomes
 
-    def perturbed(bers, seed, *rest):
-        live, delivered, sent, bad = original(bers, seed, *rest)
-        return live, delivered, sent + (seed == second), bad
+    def perturbed(bers, seeds, *rest):
+        live, delivered, sent, bad = original(bers, seeds, *rest)
+        sent[seeds == second] += 1  # the second scenario's (rounds, hops) slice
+        return live, delivered, sent, bad
 
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     topo, profile = linear_topology(range(5)), SensorProfile(seed=0)
     sim.sweep(topo, ANCHOR, SWEEP_NTU[:1], 10, 0, profile=profile)
     with pytest.raises(RuntimeError, match="counting engine"):
         sim.sweep(topo, ANCHOR, SWEEP_NTU, 10, 0, profile=profile)
+
+
+# A 30-node line with ids 0x7D and 0x00 and a different extra_loss on every
+# third hop: its last hops' frames exceed 1024 on-wire bits, and near -39 degC
+# their lengths vary over several escape bytes.  At 0 NTU every BER underflows
+# to 0, at 10**6 NTU the signal underflows to 0 lux (BER 0.5), and 115 and
+# 120 NTU lose frames on the long hops.
+HARD_IDS = [0x7D, *range(1, 28), 0x00, 0x41]
+HARD_LINE = linear_topology(
+    HARD_IDS, auth_keys=range(1, 31),
+    extra_loss=[(1.0, 0.97, 0.94)[h % 3] for h in range(29)],
+)
+HARD_CHANNEL = ChannelParams(1000.0, 0.0, 0.01, 0.0, noise_sigma=1.0)
+HARD_NTU = [0.0, 115.0, 120.0, 1e6]
+
+
+def hard_sweep(turbidities):
+    return sim.sweep(HARD_LINE, HARD_CHANNEL, turbidities, 400, 7,
+                     profile=ESCAPE_HEAVY, collect_monitor=True)
+
+
+def test_batched_draw_equals_one_turbidity_sweeps_on_a_hard_line():
+    lines = [HARD_LINE.with_turbidity(t) for t in HARD_NTU]
+    bers = [[link_ber(HARD_CHANNEL, link) for link in line.links] for line in lines]
+    assert set(bers[0]) == {0.0} and set(bers[-1]) == {0.5}
+    assert len(set(bers[1])) == 3
+    assert 10 * fr.hop_frame_lengths(HARD_IDS[:-1])[-1] > 1024
+    swept = hard_sweep(HARD_NTU)
+    assert swept == [hard_sweep([t])[0] for t in HARD_NTU]
+    delivered = [[h.packets_delivered for h in r.hops] for r in swept]
+    assert delivered[0] == [400] * 29 and delivered[-1] == [0] * 29
+    assert 0 < delivered[2][-1] < delivered[1][-1] < delivered[1][-8] < 400
+    # and the reference engine, stepping the nodes once for all four
+    args = (0, 400, min_slot_duration(30), ESCAPE_HEAVY, True)
+    scenarios = [(line, sim.scenario_seed(7, t)) for line, t in zip(lines, HARD_NTU)]
+    stepped_runs = sim._simulate_rounds(scenarios, HARD_CHANNEL, *args)
+    for report, (*stepped, rows) in zip(swept, stepped_runs):
+        assert hop_fields(report) == stepped_fields(*stepped)
+        assert report.monitor_rows == tuple(rows)
+
+
+def test_block_draws_in_groups_of_at_most_block_cells(monkeypatch):
+    original, groups = sim._block_outcomes, []
+
+    def bounded(bers, seeds, rnd, *rest):
+        assert seeds.size * rnd.size * bers.shape[1] <= sim._BLOCK_CELLS
+        groups.append((len(rnd), seeds.tolist()))
+        return original(bers, seeds, rnd, *rest)
+
+    monkeypatch.setattr(sim, "_block_outcomes", bounded)
+    seeds = [sim.scenario_seed(7, t) for t in HARD_NTU]
+    expected = hard_sweep(HARD_NTU)
+    assert groups == [(400, seeds)]  # one draw serves every turbidity
+    # 29 * 300 cells: blocks of 300 and 100 rounds; a full block holds one
+    # scenario per group, the 100-round block three
+    groups.clear()
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 29 * 300)
+    assert hard_sweep(HARD_NTU) == expected
+    assert groups == [(300, [s]) for s in seeds] + [(100, seeds[:3]), (100, seeds[3:])]
+
+
+@pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
+def test_seeds_are_taken_modulo_2_64(seed, same):
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+
+    def outputs(s):
+        alone = run_scenario(topo, ANCHOR, 300, s, collect_monitor=True)
+        swept = sim.sweep(topo, ANCHOR, [0.01, 70.0], 300, s, collect_monitor=True)
+        return [(r.hops, r.monitor_log) for r in (alone, *swept)]
+
+    result = outputs(seed)
+    assert result == outputs(same)
+    assert 0 < result[0][0][-1].packets_delivered < 300
 
 
 def test_profileless_sweep_equals_run_scenario_per_turbidity():
