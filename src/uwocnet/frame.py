@@ -27,8 +27,8 @@ key chain (static in a fixed linear topology) and the end byte delimits
 the payload.
 
 All functions are pure and operate on immutable values; they are safe to
-call concurrently.  record_length looks each byte's escape cost up in a
-256-entry numpy table that is read-only, so no caller can change it.
+call concurrently.  record_length looks escape costs up in read-only numpy
+tables, one per id byte and one per 16-bit value, so no caller can change them.
 hop_frame_lengths, built on it, is the one formula for the length of the
 frame on each hop: the simulator's counting engine and the closed-form link
 budget both take their lengths from it.
@@ -50,6 +50,10 @@ _ESCAPED = frozenset((0x00, 0xFF, ESCAPE_BYTE))
 _ESCAPE_COST = np.zeros(256, dtype=np.int64)
 _ESCAPE_COST[list(_ESCAPED)] = 1
 _ESCAPE_COST.flags.writeable = False
+# _VALUE_COST[v]: the cost of both bytes of 16-bit value v, summed in uint8 (64 KiB).
+_VALUE_COST = _ESCAPE_COST.astype(np.uint8)
+_VALUE_COST = np.add.outer(_VALUE_COST, _VALUE_COST).ravel()
+_VALUE_COST.flags.writeable = False
 
 KEY_MIN = 0x01
 KEY_MAX = 0xFE
@@ -183,8 +187,7 @@ def record_length(node_id, raw):
     column).  Out-of-range raw values give a length too, never an error:
     rejecting them is the encoder's job.
     """
-    cost = _ESCAPE_COST
-    return _BYTES_PER_RECORD + cost[node_id] + cost[(raw >> 8) & 0xFF] + cost[raw & 0xFF]
+    return _BYTES_PER_RECORD + _ESCAPE_COST[node_id] + _VALUE_COST[raw & 0xFFFF]
 
 
 def escape_payload(raw: bytes | bytearray) -> bytes:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import frame as fr
 from .channel import BITS_PER_BYTE_ON_WIRE
-from .rng import Substream, derive_states, uniform_at
+from .rng import Substream, derive_state, derive_states, seed_word, uniform_at
 
 _SENSOR_STREAM_TAG = 0x5E_45_0001
 DEFAULT_BIT_RATE = 9600.0
@@ -82,6 +82,7 @@ class SensorProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        seed_word(self.seed)  # TypeError unless an integer (bool is not one)
         values = (self.baseline_c, self.amplitude_c, self.period_s, self.noise_std_c)
         if not all(math.isfinite(v) for v in values):
             raise ValueError("sensor profile values must be finite")
@@ -114,10 +115,10 @@ def _noise_words(node_ids, clocks: np.ndarray, profile: SensorProfile):
     u1, and the reading must be taken with sample_sensor.
     """
     ids = np.asarray(node_ids)
-    ids = int(ids) if ids.ndim == 0 else ids  # scalar words fold in as ints
-    states = derive_states(
-        profile.seed, _SENSOR_STREAM_TAG, ids, clocks.view(np.uint64)
-    )
+    head = derive_state(profile.seed, _SENSOR_STREAM_TAG)
+    folds = [derive_state(head, i) for i in ids.ravel().tolist()]
+    prefix = np.array(folds, np.uint64).reshape(ids.shape)  # each node's stream prefix
+    states = derive_states(prefix, clocks.view(np.uint64))
     return uniform_at(states, 0), uniform_at(states, 1)
 
 
@@ -165,7 +166,7 @@ def sensor_raw(node_ids, clocks: np.ndarray, profile: SensorProfile) -> np.ndarr
     temp, redo = _temperatures(node_ids, clocks, profile, np.sin, np.log, np.cos)
     x = fr.fixed_point(temp)
     raw = np.rint(x).astype(np.int64)
-    redo |= np.abs(x - np.floor(x) - 0.5) < _TIE_MARGIN
+    redo |= np.abs(x - raw) > 0.5 - _TIE_MARGIN
     if redo.any():
         ids = np.broadcast_to(node_ids, raw.shape)
         for i in zip(*np.nonzero(redo)):

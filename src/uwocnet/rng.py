@@ -14,6 +14,7 @@ of addresses, bit for bit, so a block of substreams can be drawn at once.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -34,9 +35,16 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def seed_word(seed) -> int:
+    """A seed as a 64-bit word: any integer, numpy's too, modulo 2**64."""
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer, not bool {seed!r}")
+    return operator.index(seed) & _MASK64
+
+
 def derive_state(seed: int, *words: int) -> int:
     """Fold integer address words into a 64-bit substream state."""
-    s = seed & _MASK64
+    s = seed_word(seed)
     for w in words:
         s = _mix((s + _GOLDEN) ^ (w & _MASK64))
     return s
@@ -59,10 +67,10 @@ def derive_states(seed, *words) -> np.ndarray:
     Arrays broadcast against each other; a seed array holds states from an
     earlier derive_states call, which this one extends by more words.
     """
-    s = seed if isinstance(seed, np.ndarray) else seed & _MASK64
+    s = seed if isinstance(seed, np.ndarray) else seed_word(seed)
     for w in words:
         if isinstance(w, np.ndarray):
-            w = w.astype(np.uint64)
+            w = w.astype(np.uint64, copy=False)
         else:
             w = np.uint64(w & _MASK64)
         if isinstance(s, np.ndarray):
@@ -84,7 +92,7 @@ def uniform_at(states: np.ndarray, i: int) -> np.ndarray:
     """
     word = _mix_array(states + np.uint64(((i + 1) * _GOLDEN) & _MASK64))
     word >>= _U11
-    return word.astype(np.float64) * 1.1102230246251565e-16
+    return word * 1.1102230246251565e-16  # exact: a 53-bit word is a float64
 
 
 def derive_seed(seed: int, *words: int) -> int:

@@ -20,7 +20,7 @@ from uwocnet import sim
 from uwocnet.channel import ChannelParams, link_ber, q_inverse
 from uwocnet.config import parse_config
 from uwocnet.node import SensorProfile, min_slot_duration, sample_sensor, sensor_raw
-from uwocnet.rng import Substream, derive_states, uniform_at
+from uwocnet.rng import Substream, derive_state, derive_states, uniform_at
 from uwocnet.sim import linear_topology, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -387,6 +387,36 @@ def test_vector_substream_words_match_substream():
     for (k, i, h), _ in np.ndenumerate(states):
         stream = Substream(int(seeds[k]), 0xC4A7_0001, int(rounds[i]), h)
         assert draws[k, i, h].tolist() == [stream.uniform() for _ in range(3)]
+    # a stream prefix folded once extends to the words of the whole address
+    for seed in (0, 1, 2**63 - 1, 2**64 - 1, -1):
+        prefix = derive_state(seed, 0xC4A7_0001)
+        assert np.array_equal(
+            derive_states(prefix, rounds), derive_states(seed, 0xC4A7_0001, rounds)
+        )
+        for rnd in rounds.tolist():
+            for h in range(3):
+                folded = Substream(prefix, rnd, h)
+                whole = Substream(seed, 0xC4A7_0001, rnd, h)
+                assert [folded.next_u64(), folded.uniform()] == [
+                    whole.next_u64(), whole.uniform()
+                ]
+
+
+def test_long_frame_outcomes_match_the_binomial_draw():
+    # Frames of 103-142 bytes cross 1024 on-wire bits, so each hop's zero-flip
+    # test takes two chunk thresholds; at BER ~1e-3 a chunk sized one bit off
+    # moves a threshold by a relative ~1e-3, which a few of these cells see.
+    bers = np.array([[1.0e-3, 0.8e-3], [0.7e-3, 1.1e-3], [0.9e-3, 1.2e-3]])
+    seeds = np.array([11, 2**64 - 3, 7], dtype=np.uint64)
+    rnd = np.arange(4000, dtype=np.int64)
+    nbytes = np.random.default_rng(5).integers(103, 143, size=(len(rnd), 2))
+    valid = np.ones(nbytes.shape, dtype=bool)
+    live, delivered, _, _ = sim._block_outcomes(bers, seeds, rnd, nbytes, valid)
+    assert live[..., 0].all() and 0 < live[..., 1].sum() < live[..., 0].sum()
+    for k, i, h in np.argwhere(live).tolist():
+        stream = Substream(int(seeds[k]), sim._LINK_STREAM_TAG, i, h)
+        zero = stream.binomial(10 * int(nbytes[i, h]), float(bers[k, h])) == 0
+        assert delivered[k, i, h] == zero, (k, i, h)
 
 
 def test_record_length_matches_encoder():
@@ -860,6 +890,43 @@ def test_seeds_are_taken_modulo_2_64(seed, same):
     result = outputs(seed)
     assert result == outputs(same)
     assert 0 < result[0][0][-1].packets_delivered < 300
+
+
+def seeded_outputs(seed, profile_seed):
+    """Both anchors' counts and monitor logs, alone and swept, at seed and
+    the sensor profile seed profile_seed."""
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    kwargs = dict(profile=SensorProfile(seed=profile_seed), collect_monitor=True)
+    alone = run_scenario(topo, ANCHOR, 300, seed, **kwargs)
+    swept = sim.sweep(topo, ANCHOR, [0.01, 70.0], 300, seed, **kwargs)
+    return [(r.hops, r.monitor_log) for r in (alone, *swept)]
+
+
+@pytest.mark.parametrize("seed, same", [
+    (np.int64(5), 5), (np.uint64(5), 5), (np.uint64(2**64 - 1), -1),
+])
+def test_numpy_integer_seeds_are_their_value(seed, same):
+    expected = seeded_outputs(same, same)
+    assert seeded_outputs(seed, same) == expected  # as the run seed
+    assert seeded_outputs(same, seed) == expected  # as the profile seed
+    assert 0 < expected[0][0][-1].packets_delivered < 300
+
+
+@pytest.mark.parametrize("seed, message", [(5.0, "'float'"), (True, "seed .* bool True")])
+def test_non_integer_seeds_are_rejected_at_entry(seed, message, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(sim, "_readings", unreached)
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    with pytest.raises(TypeError, match=message):
+        SensorProfile(seed=seed)
+    with pytest.raises(TypeError, match=message):
+        run_scenario(topo, ANCHOR, 10, seed)
+    with pytest.raises(TypeError, match=message):
+        run_scenario(topo, ANCHOR, 10, seed, profile=SensorProfile(seed=5))
+    with pytest.raises(TypeError, match=message):
+        sim.sweep(topo, ANCHOR, [0.01, 70.0], 10, seed, profile=SensorProfile(seed=5))
 
 
 def test_profileless_sweep_equals_run_scenario_per_turbidity():
