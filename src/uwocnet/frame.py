@@ -316,8 +316,12 @@ def hop_frame_lengths(node_ids, raw=temperature_to_raw(REFERENCE_TEMP_C)):
     The default, REFERENCE_TEMP_C, needs no escape byte: the nominal lengths
     of the closed-form link budget (node ids 0x00 and 0x7D still cost one).
     """
-    records = record_length(np.asarray(node_ids, dtype=np.int64), raw)
-    return FRAME_OVERHEAD + np.cumsum(1 + records, axis=-1)
+    lengths = record_length(np.asarray(node_ids, dtype=np.int64), raw) + 1
+    hop = lengths.T  # row j: hop j of every round (np.cumsum loops per round)
+    for j in range(1, len(hop)):
+        hop[j] += hop[j - 1]
+    lengths += FRAME_OVERHEAD
+    return lengths
 
 
 def worst_case_frame_length(record_count: int) -> int:

@@ -208,6 +208,32 @@ def test_escape_heavy_readings_span_three_to_six_bytes():
     assert set(lengths[:, 1].tolist()) == {3, 4, 5}
 
 
+def test_hop_frame_lengths_equal_the_cumsum_formula():
+    # the hop-by-hop adds give np.cumsum's lengths, in int64, on any leading axes
+    def cumsum_lengths(ids, raw=fr.temperature_to_raw(fr.REFERENCE_TEMP_C)):
+        records = fr.record_length(np.asarray(ids, dtype=np.int64), raw)
+        return fr.FRAME_OVERHEAD + np.cumsum(1 + records, axis=-1)
+
+    def check(ids, *raw):
+        lengths = fr.hop_frame_lengths(ids, *raw)
+        assert lengths.dtype == np.int64
+        assert np.array_equal(lengths, cumsum_lengths(ids, *raw))
+        return lengths
+
+    assert check([]).tolist() == []
+    for n in (1, 4, 29):
+        ids = [0x7D, *range(1, n - 1), 0x00][:n]
+        check(ids)
+        check(ids, np.arange(n) * 0x3F7D)
+    ids = np.array([0x00, 5, 0x7D, 9])
+    clocks = np.arange(3000.0).reshape(750, 4)
+    raw = sensor_raw(ids, clocks, ESCAPE_HEAVY)
+    assert len(np.unique(check(ids, raw)[:, -1])) >= 6  # lengths vary by round
+    stack = np.stack([raw, raw[::-1], np.full_like(raw, 0x7D00)])
+    lengths = check(ids, stack)  # (scenarios, rounds, hops)
+    assert np.array_equal(lengths[1], lengths[0][::-1])
+
+
 def test_escape_heavy_anchor_line_counts_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     seed = sim.scenario_seed(ACCEPTANCE_SEED, 70.0)
@@ -491,8 +517,9 @@ def test_reading_exactly_on_half_rounds_to_even():
 
 
 def test_readings_near_a_tie_are_recomputed_by_sample_sensor(monkeypatch):
-    # numpy's sin/log/cos may differ from libm by an ulp, which can only
-    # change a reading's rounding next to a tie; those go through the scalar.
+    # numpy's log and the tan forms of sin and cos may differ from libm by an
+    # ulp, which can only change a reading's rounding next to a tie; those go
+    # through the scalar.
     calls = []
 
     def recording(*args):
@@ -558,6 +585,57 @@ def test_u1_redraw_falls_back_to_sample_sensor(monkeypatch):
     assert sensor_raw(7, clocks, profile).tolist() == [
         round(fr.fixed_point(t)) for t in expected
     ]
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [SensorProfile(seed=5), SensorProfile(seed=5, amplitude_c=40.0, noise_std_c=5.0)],
+    ids=["default", "wide"],
+)
+def test_tan_forms_give_exact_raws_at_their_hard_points(profile, monkeypatch):
+    # sensor_raw takes sin and cos as tan(x / 2) forms.  Force the noise words
+    # onto the points where those forms are least tame (cos at 0, pi/2, pi,
+    # 3pi/2 and just below 2pi; the extremes of log u1), on clocks at drift
+    # angles 0, pi/2, pi and 3pi/2 and at the slot clocks near round 10**7.
+    pairs = [
+        (u1, u2)
+        for u1 in (2.0**-53, 0.5, 1.0 - 2.0**-53)
+        for u2 in (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+    ]
+    quarter = profile.period_s / 4
+    periods = [*range(len(pairs)), *range(440, 440 + len(pairs))]  # 440: ~round 10**7
+    on_angles = [[quarter * (4 * n + k) for k in range(4)] for n in periods]
+    slot = min_slot_duration(5)
+    rnd = np.arange(10**7 - 30, 10**7 + 30)
+    on_slots = nd.slot_start(rnd[:, None], np.arange(4), 4, slot) + slot
+    clocks = np.concatenate([on_angles, on_slots])
+    ids = np.array([0x00, 5, 0x7D, 254])
+    cell = np.arange(clocks.size).reshape(clocks.shape) // 4  # a pair per row of 4
+    u1, u2 = (np.array(u)[cell % len(pairs)] for u in zip(*pairs))
+    words = {
+        (int(ids[k]), float(t)): (u1[r, k], u2[r, k])
+        for (r, k), t in np.ndenumerate(clocks)
+    }
+    assert len(words) == clocks.size
+
+    class Forced(Substream):
+        # sample_sensor's stream, drawing the forced words of its cell
+        def __init__(self, seed, tag, node_id, clock_bits):
+            clock = np.uint64(clock_bits).view(np.float64)
+            self.draws = iter(float(u) for u in words[node_id, float(clock)])
+
+        def uniform(self):
+            return next(self.draws)
+
+    monkeypatch.setattr(nd, "_noise_words", lambda node_ids, clocks, profile: (u1, u2))
+    monkeypatch.setattr(nd, "Substream", Forced)
+    raw = sensor_raw(ids, clocks, profile)
+    expected = [
+        [round(fr.fixed_point(sample_sensor(int(i), t, profile).temperature_c))
+         for i, t in zip(ids, row)]
+        for row in clocks.tolist()
+    ]
+    assert raw.tolist() == expected
 
 
 def test_monitor_log_builds_no_row_objects(monkeypatch):
