@@ -61,27 +61,15 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_states(seed, *words) -> np.ndarray:
-    """derive_state over numpy arrays: the seed and any word may be an array.
-
-    Arrays broadcast against each other; a seed array holds states from an
-    earlier derive_states call, which this one extends by more words.
-    """
-    s = seed if isinstance(seed, np.ndarray) else seed_word(seed)
+def derive_states(states: np.ndarray, *words) -> np.ndarray:
+    """derive_state over numpy arrays: extends a uint64 array of states (a
+    prefix folded by derive_state, or an earlier derive_states result) by
+    more words, each an integer or an array; arrays broadcast."""
     for w in words:
-        if isinstance(w, np.ndarray):
-            w = w.astype(np.uint64, copy=False)
-        else:
+        if not isinstance(w, np.ndarray):
             w = np.uint64(w & _MASK64)
-        if isinstance(s, np.ndarray):
-            s = _mix_array((s + _UGOLDEN) ^ w)
-        elif isinstance(w, np.ndarray):
-            s = _mix_array(np.uint64((s + _GOLDEN) & _MASK64) ^ w)
-        else:
-            s = _mix((s + _GOLDEN) ^ int(w))
-    if not isinstance(s, np.ndarray):
-        raise ValueError("derive_states needs at least one array argument")
-    return s
+        states = _mix_array((states + _UGOLDEN) ^ w.astype(np.uint64, copy=False))
+    return states
 
 
 def uniform_at(states: np.ndarray, i: int) -> np.ndarray:

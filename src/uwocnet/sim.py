@@ -28,13 +28,14 @@ once for all scenarios, each scenario's link stream prefix folded once per
 call, and raises RuntimeError if a count or monitor row differs.
 
 A run is one pass in this process, in blocks of rounds whose size depends
-only on the line's length.  Only run_scenario keeps a workers keyword, for
-API callers: it is checked but changes neither the blocks, the speed nor
-the output.  Readings, frame lengths and node states do not depend on
-turbidity or seed, so a sweep takes each block's readings, and steps the
-canary's nodes, once for every turbidity that shares a sensor profile; the
-link words are keyed by (seed, round, hop) alone, so one draw per block
-serves every turbidity of the pass, within _BLOCK_CELLS cells.
+only on the line's length and the number of turbidities.  Only
+run_scenario keeps a workers keyword, for API callers: it is checked but
+changes neither the blocks, the speed nor the output.  A sweep's
+turbidities share one sensor profile, and readings, frame lengths and node
+states do not depend on turbidity or seed, so a sweep takes each block's
+readings, and steps the canary's nodes, once for every turbidity; the link
+words are keyed by (seed, round, hop) alone, so one draw per block serves
+every turbidity.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .rng import (
 
 _LINK_STREAM_TAG = 0xC4A7_0001
 _SCENARIO_TAG = 0x5CEA_0001
-# (scenario, round, hop) cells per counting-engine draw: bounds its memory
-# at any round count, line length and turbidity count.
+# (scenario, round, hop) cells per counting-engine block, one draw: bounds
+# its memory at any round count and line length, up to _BLOCK_CELLS // hops
+# turbidities, as a block is at least one round.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -132,7 +134,7 @@ def linear_topology(
     ids = tuple(node_ids)
     hops = max(len(ids) - 1, 0)  # no nodes: Topology's node count check reports it
     keys = tuple(auth_keys) if auth_keys is not None else fr.DEFAULT_KEY_TABLE[: len(ids)]
-    if isinstance(link_distance_m, (int, float)):
+    if np.ndim(link_distance_m) == 0:
         distances = (link_distance_m,) * hops
     else:
         distances = tuple(link_distance_m)
@@ -393,11 +395,14 @@ def _count_rounds(
     collect_monitor: bool = False,
 ) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
-    its rows as monitor_log columns, in blocks of _BLOCK_CELLS // hops
-    rounds: a block's readings and frame lengths serve every scenario, one
-    draw each list-order group of _BLOCK_CELLS (scenario, round, hop) cells
-    (every scenario, at a few hundred rounds), and one replay of the first
-    round is every one's canary.  Seeds are taken modulo 2**64."""
+    its rows as monitor_log columns, in blocks of _BLOCK_CELLS (scenario,
+    round, hop) cells, at least one round: every scenario reads the one
+    sensor profile (sweep's and run_scenario's default: SensorProfile of the
+    root seed), so a block's readings and frame lengths serve them all, one
+    draw covers them all, and one replay of the first round is every one's
+    canary.  An out-of-range record raises at the earliest round that
+    encodes one, then the first such scenario in list order.  Seeds are
+    taken modulo 2**64."""
     topology = scenarios[0][0]
     hops = topology.hop_count
     bers = np.array([[link_ber(params, l) for l in t.links] for t, _ in scenarios])
@@ -405,37 +410,34 @@ def _count_rounds(
     totals = np.zeros((len(scenarios), 3, hops), np.int64)
     width = len(topology.node_ids) + 2
     logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
-    block = max(1, _BLOCK_CELLS // hops)
+    block = max(1, _BLOCK_CELLS // (len(scenarios) * hops))
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
         clocks, raw = _readings(topology, rnd, slot_duration, profile)
         nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
         valid = fr.raw_in_range(raw)
-        group = max(1, _BLOCK_CELLS // (len(rnd) * hops))
-        heads = []
-        for g in range(0, len(scenarios), group):
-            part = slice(g, g + group)
-            *counts, bad = _block_outcomes(bers[part], seeds[part], rnd, nbytes, valid)
-            if bad.any():
-                # The reference engine raises RecordOutOfRange on this round.
-                i, r = np.argwhere(bad.any(axis=2))[0].tolist()
-                _simulate_rounds([scenarios[g + i]], params, lo + r, lo + r + 1,
-                                 slot_duration, profile, False)
-                raise RuntimeError(
-                    f"round {lo + r}: counting engine saw an out-of-range record"
-                )
-            counts = np.stack(counts, axis=1)
-            totals[part] += np.einsum("scrh->sch", counts)  # sum over rounds
-            heads += counts[:, :, 0].tolist()
-            for log, done in zip(logs[part], counts[:, 1]):
-                if log is not None:
-                    new = _monitor_columns(topology, rnd, clocks, raw, done, profile)
-                    for column, more in zip(log, new):
-                        column.extend(more)
+        *counts, bad = _block_outcomes(bers, seeds, rnd, nbytes, valid)
+        if bad.any():
+            # The reference engine raises RecordOutOfRange on this round: the
+            # earliest bad one, then the first bad scenario in list order.
+            r, i = np.argwhere(bad.any(axis=2).T)[0].tolist()
+            _simulate_rounds([scenarios[i]], params, lo + r, lo + r + 1,
+                             slot_duration, profile, False)
+            raise RuntimeError(
+                f"round {lo + r}: counting engine saw an out-of-range record"
+            )
+        counts = np.stack(counts, axis=1)
+        totals += np.einsum("scrh->sch", counts)  # sum over rounds
+        for log, done in zip(logs, counts[:, 1]):
+            if log is not None:
+                new = _monitor_columns(topology, rnd, clocks, raw, done, profile)
+                for column, more in zip(log, new):
+                    column.extend(more)
         if lo == first_round:
             canaries = _simulate_rounds(
                 scenarios, params, lo, lo + 1, slot_duration, profile, collect_monitor
             )
+            heads = counts[:, :, 0].tolist()  # the first round's counts
             for head, log, (*canary, canary_rows) in zip(heads, logs, canaries):
                 r, t, *temps = next(zip(*log or ()), (None, None))  # first logged row
                 first = [MonitorRow(r, t, tuple(temps))] if r == lo else []
@@ -535,19 +537,13 @@ def sweep(
     """run_scenario at each turbidity, each on its own derived substream.
 
     Output order matches the input turbidity order; each scenario's seed
-    depends only on (seed, turbidity value), not on list position.  The
-    turbidities whose sensor profile (profile, else run_scenario's default)
-    is the same share one counting pass, hence each block's readings.
+    depends only on (seed, turbidity value), not on list position.  Every
+    turbidity reads one sensor profile, profile or else SensorProfile(seed=
+    seed), run_scenario's default for the root seed, so the sweep is one
+    counting pass and takes each block's readings once.
     """
-    passes: dict[nd.SensorProfile, dict[int, tuple[Topology, int]]] = {}
-    for i, t in enumerate(turbidities):
-        s = scenario_seed(seed, t)
-        shared = profile if profile is not None else nd.SensorProfile(seed=s)
-        passes.setdefault(shared, {})[i] = (topology.with_turbidity(t), s)
-    if not passes:
+    scenarios = [(topology.with_turbidity(t), scenario_seed(seed, t)) for t in turbidities]
+    if not scenarios:
         raise ValueError("need at least one turbidity")
-    reports = {}
-    for shared, scenarios in passes.items():
-        done = _reports(list(scenarios.values()), params, rounds, shared, **kwargs)
-        reports.update(zip(scenarios, done))
-    return [reports[i] for i in sorted(reports)]
+    profile = profile if profile is not None else nd.SensorProfile(seed=seed)
+    return _reports(scenarios, params, rounds, profile, **kwargs)

@@ -315,7 +315,7 @@ def test_criterion_7_determinism(calibrated, monkeypatch):
     assert main(base_args + ["--out", str(outs[0])]) == EXIT_OK
     assert main(base_args + ["--out", str(outs[1])]) == EXIT_OK
     # a second execution plan: three blocks of 667, 667 and 666 rounds
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 667)
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 2 * 4 * 667)
     assert main(base_args + ["--out", str(outs[2])]) == EXIT_OK
     first = outs[0].read_bytes()
     assert outs[1].read_bytes() == first

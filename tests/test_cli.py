@@ -439,7 +439,7 @@ SWEEP_GOLDEN = {
 @pytest.mark.parametrize("config", sorted(SWEEP_GOLDEN), ids=lambda p: p.stem)
 def test_sweep_csv_golden(config, blocks, tmp_path, monkeypatch):
     if blocks == 3:  # 1001, 1001 and 998 rounds on the 4-hop line
-        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 1001)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 3 * 4 * 1001)
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--config", str(config), "--turbidity", "0.01,35,70"]
     argv += ["--rounds", "3000", "--out", str(out)]

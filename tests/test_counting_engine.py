@@ -387,7 +387,8 @@ def test_partition_from_a_late_round_monitor_rows_equal():
 
 def test_vector_substream_words_match_substream():
     rounds = np.array([0, 1, 7, 2**40, 2**62 + 5], dtype=np.int64)
-    states = derive_states(derive_states(99, 0xC4A7_0001, rounds)[:, None], np.arange(3))
+    prefix = np.array(derive_state(99, 0xC4A7_0001), np.uint64)
+    states = derive_states(derive_states(prefix, rounds)[:, None], np.arange(3))
     for c in range(3):
         u = uniform_at(states, c)
         for i, rnd in enumerate(rounds):
@@ -416,9 +417,9 @@ def test_vector_substream_words_match_substream():
     # a stream prefix folded once extends to the words of the whole address
     for seed in (0, 1, 2**63 - 1, 2**64 - 1, -1):
         prefix = derive_state(seed, 0xC4A7_0001)
-        assert np.array_equal(
-            derive_states(prefix, rounds), derive_states(seed, 0xC4A7_0001, rounds)
-        )
+        assert derive_states(np.array(prefix, np.uint64), rounds).tolist() == [
+            derive_state(seed, 0xC4A7_0001, rnd) for rnd in rounds.tolist()
+        ]
         for rnd in rounds.tolist():
             for h in range(3):
                 folded = Substream(prefix, rnd, h)
@@ -810,14 +811,14 @@ def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
     ]
     assert not monitor or all(r.monitor_rows for r in expected)
     for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
-        monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * block_rounds)
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", 16 * block_rounds)
         swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, **kwargs)
         assert swept == expected
 
 
 @pytest.mark.parametrize("monitor", [False, True])
 def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 100)  # 100 rounds per block
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 16 * 100)  # 100 rounds per block
     readings, simulate = sim._readings, sim._simulate_rounds
     block_rounds, replayed = [], []
 
@@ -936,24 +937,24 @@ def test_batched_draw_equals_one_turbidity_sweeps_on_a_hard_line():
         assert report.monitor_rows == tuple(rows)
 
 
-def test_block_draws_in_groups_of_at_most_block_cells(monkeypatch):
-    original, groups = sim._block_outcomes, []
+def test_each_block_draws_every_scenario_at_once(monkeypatch):
+    original, draws = sim._block_outcomes, []
 
     def bounded(bers, seeds, rnd, *rest):
         assert seeds.size * rnd.size * bers.shape[1] <= sim._BLOCK_CELLS
-        groups.append((len(rnd), seeds.tolist()))
+        draws.append((len(rnd), seeds.tolist()))
         return original(bers, seeds, rnd, *rest)
 
     monkeypatch.setattr(sim, "_block_outcomes", bounded)
     seeds = [sim.scenario_seed(7, t) for t in HARD_NTU]
     expected = hard_sweep(HARD_NTU)
-    assert groups == [(400, seeds)]  # one draw serves every turbidity
-    # 29 * 300 cells: blocks of 300 and 100 rounds; a full block holds one
-    # scenario per group, the 100-round block three
-    groups.clear()
+    assert draws == [(400, seeds)]  # one draw serves every turbidity
+    # 29 * 300 cells over 4 scenarios of 29 hops: five blocks of 75 rounds
+    # and one of 25, each one draw of every scenario in list order
+    draws.clear()
     monkeypatch.setattr(sim, "_BLOCK_CELLS", 29 * 300)
     assert hard_sweep(HARD_NTU) == expected
-    assert groups == [(300, [s]) for s in seeds] + [(100, seeds[:3]), (100, seeds[3:])]
+    assert draws == [(75, seeds)] * 5 + [(25, seeds)]
 
 
 @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64 + 5, 5)])
@@ -1007,20 +1008,32 @@ def test_non_integer_seeds_are_rejected_at_entry(seed, message, monkeypatch):
         sim.sweep(topo, ANCHOR, [0.01, 70.0], 10, seed, profile=SensorProfile(seed=5))
 
 
-def test_profileless_sweep_equals_run_scenario_per_turbidity():
-    # each turbidity reads its own scenario seed's sensor; 0.01 twice and
-    # -0.0 / 0.0 are scenarios that share one
+def test_profileless_sweep_equals_run_scenario_per_turbidity(monkeypatch):
+    # a sweep without a profile reads run_scenario's default sensor of the
+    # root seed at every turbidity; 0.01 twice and -0.0 / 0.0 are scenarios
+    # that share a scenario seed
+    readings, block_rounds = sim._readings, []
+
+    def counted_readings(topology, rnd, *rest):
+        block_rounds.append(len(rnd))
+        return readings(topology, rnd, *rest)
+
+    monkeypatch.setattr(sim, "_readings", counted_readings)
     topo = linear_topology(range(5))
     turbidities = [70.0, 0.01, 0.0, 0.01, -0.0]
     swept = sim.sweep(topo, ANCHOR, turbidities, 300, 6, collect_monitor=True)
+    assert block_rounds == [300]  # one block, one readings call
+    profile = SensorProfile(seed=6)
     assert swept == [
         run_scenario(topo.with_turbidity(t), ANCHOR, 300, sim.scenario_seed(6, t),
-                     profile=None, collect_monitor=True)
+                     profile=profile, collect_monitor=True)
         for t in turbidities
     ]
+    assert swept == sim.sweep(topo, ANCHOR, turbidities, 300, 6, profile=profile,
+                              collect_monitor=True)
 
 
-def test_sweep_stops_at_the_first_block_with_an_out_of_range_record(monkeypatch):
+def test_sweep_reports_the_earliest_out_of_range_round(monkeypatch):
     # Readings leave the range at t = 9.56 s.  With 1 s slots that is relay
     # 2's record of round 2 (t = 10 s) on a clear line, and the originator's
     # of round 3 (t = 12 s) on a dark one, whose relays are never live.
@@ -1035,7 +1048,8 @@ def test_sweep_stops_at_the_first_block_with_an_out_of_range_record(monkeypatch)
 
     clear, dark = error([0.0]), error([1000.0])
     assert clear != dark
-    assert error([1000.0, 0.0]) == dark  # one block: list order
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4)  # one round per block
-    assert error([1000.0, 0.0]) == clear  # round order first
-    assert error([0.0, 1000.0]) == clear
+    # the earliest bad round, whatever the block plan or the list order
+    for cells in (sim._BLOCK_CELLS, 4):  # one block; one round per block
+        monkeypatch.setattr(sim, "_BLOCK_CELLS", cells)
+        assert error([1000.0, 0.0]) == clear
+        assert error([0.0, 1000.0]) == clear

@@ -3,6 +3,7 @@ reproducibility, closed-form agreement."""
 
 import math
 
+import numpy as np
 import pytest
 
 from uwocnet import sim
@@ -16,7 +17,7 @@ from uwocnet.channel import (
     q_inverse,
 )
 from uwocnet.node import NodeRole, SensorProfile
-from uwocnet.rng import Substream, derive_states
+from uwocnet.rng import Substream
 from uwocnet.sim import (
     Topology,
     linear_topology,
@@ -81,6 +82,9 @@ def test_linear_topology_roles_and_defaults():
 def test_linear_topology_per_link_distances():
     topo = linear_topology(range(3), link_distance_m=(3.0, 5.0))
     assert [l.distance_m for l in topo.links] == [3.0, 5.0]
+    for one in (4, 4.0, np.int64(4), np.float32(4.0)):  # one distance per hop
+        topo = linear_topology(range(5), link_distance_m=one)
+        assert [l.distance_m for l in topo.links] == [4.0] * 4
     with pytest.raises(ValueError):
         linear_topology(range(3), link_distance_m=(3.0, 5.0, 7.0))
 
@@ -167,8 +171,6 @@ def test_substream_edge_cases():
     assert stream.binomial(50, 1.5) == 50
     assert stream.distinct_below(4, 4) == [0, 1, 2, 3]
     assert stream.distinct_below(4, 9) == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="array argument"):
-        derive_states(1, 2, 3)
 
 
 # --- run_scenario ---------------------------------------------------------------
