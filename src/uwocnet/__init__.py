@@ -59,7 +59,6 @@ from .node import (
 from .rng import Substream, derive_seed
 from .sim import (
     HopStats,
-    MonitorRow,
     PsrReport,
     Topology,
     linear_topology,

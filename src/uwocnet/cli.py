@@ -222,7 +222,7 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
         profile=config.sensor,
         collect_monitor=True,
     )
-    delivered = len(report.monitor_log[0])  # monitor_rows would build every row
+    delivered = len(report.monitor_log[0])
     summary = [
         f"{delivered} of {config.rounds} rounds delivered "
         f"(cumulative PSR {report.final_cumulative_psr:.6f}) at "

@@ -35,18 +35,23 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def as_int(value, name: str) -> int:
+    """value as a Python int: any integer, numpy's too; bool is not one."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool {value!r}")
+    return operator.index(value)
+
+
 def seed_word(seed) -> int:
-    """A seed as a 64-bit word: any integer, numpy's too, modulo 2**64."""
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer, not bool {seed!r}")
-    return operator.index(seed) & _MASK64
+    """A seed or address word modulo 2**64: any integer, numpy's too."""
+    return as_int(seed, "seed") & _MASK64
 
 
 def derive_state(seed: int, *words: int) -> int:
     """Fold integer address words into a 64-bit substream state."""
     s = seed_word(seed)
     for w in words:
-        s = _mix((s + _GOLDEN) ^ (w & _MASK64))
+        s = _mix((s + _GOLDEN) ^ seed_word(w))
     return s
 
 
@@ -67,7 +72,7 @@ def derive_states(states: np.ndarray, *words) -> np.ndarray:
     more words, each an integer or an array; arrays broadcast."""
     for w in words:
         if not isinstance(w, np.ndarray):
-            w = np.uint64(w & _MASK64)
+            w = np.uint64(seed_word(w))
         states = _mix_array((states + _UGOLDEN) ^ w.astype(np.uint64, copy=False))
     return states
 

@@ -10,22 +10,24 @@ A Topology is the line's node ids, keys and links in order; a node's role
 and the key chain it expects follow from its position, and
 Topology.node_states is the one place that derives them.
 
-Two engines give the same results.  The reference engine steps every node's
-state machine through every round.  The counting engine, which serves every
-run, computes a block of rounds at once in numpy: each transmitter's sensor
+Two engines give identical results: per scenario, the counts per hop and the
+sink's log as columns.  The reference engine steps every node's state
+machine through every round.  The counting engine, which serves every run,
+computes a block of rounds at once in numpy: each transmitter's sensor
 reading, hence each hop's frame length (by frame.hop_frame_lengths, the
 closed form's formula), and each hop's zero-flip test, one link substream
 word per 1024-bit chunk, against a threshold looked up by (escape bytes,
 hop).  It draws the same words as the reference engine, so its counts are
 exact, not statistical.  A round reaches the monitor only when every hop
 drew zero flips, so the sink decodes exactly the records that were encoded:
-its log row is the transmitters' readings at wire resolution plus the
-sink's own reading, kept as columns built per block from the same readings;
-the sink's noise words are drawn per block too, and only libm's sin/log/cos
-run per row.  The reference engine is the differential oracle of the tests
-and, on every pass, a canary: the counting engine replays its first round
-once for all scenarios, each scenario's link stream prefix folded once per
-call, and raises RuntimeError if a count or monitor row differs.
+its log row is the transmitters' readings at wire resolution plus the sink's
+own reading, built per block from the same readings; the sink's noise words
+are drawn per block too, and only libm's sin/log/cos run per row.  The
+reference engine is the differential oracle of the tests and, on every pass,
+a canary: the counting engine replays its first round once for all
+scenarios, each scenario's link stream prefix folded once per call, and
+raises RuntimeError unless its own result for that round equals the
+replay's.
 
 A run is one pass in this process, in blocks of rounds whose size depends
 only on the line's length and the number of turbidities.  Only
@@ -41,6 +43,7 @@ every turbidity.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,7 @@ from .channel import BITS_PER_BYTE_ON_WIRE, ChannelParams, LinkSpec, attenuate, 
 from .rng import (
     BINOMIAL_CHUNK,
     Substream,
+    as_int,
     derive_seed,
     derive_state,
     derive_states,
@@ -163,17 +167,10 @@ class HopStats:
     mean_frame_bytes: float
 
 
-@dataclass(frozen=True, slots=True)
-class MonitorRow:
-    round_index: int
-    time_s: float
-    temperatures_c: tuple[float, ...]
-
-
 @dataclass
 class PsrReport:
-    """monitor_log, with collect_monitor: the sink's log as columns (rounds,
-    times, per-node temperatures); monitor_rows builds MonitorRows on access."""
+    """monitor_log, with collect_monitor: the sink's log as columns (round
+    indices, sink times, then one temperature list per node in line order)."""
 
     turbidity_ntu: float
     rounds: int
@@ -184,13 +181,6 @@ class PsrReport:
     @property
     def final_cumulative_psr(self) -> float:
         return self.hops[-1].cumulative_psr
-
-    @property
-    def monitor_rows(self) -> tuple[MonitorRow, ...] | None:
-        if self.monitor_log is None:
-            return None
-        rounds, times, *temps = self.monitor_log
-        return tuple(map(MonitorRow, rounds, times, zip(*temps)))
 
 
 def transmit_over_link(
@@ -236,17 +226,19 @@ def _simulate_rounds(
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool,
-) -> list[tuple[list[int], list[int], list[int], list[MonitorRow]]]:
+) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
     """Simulate rounds [first_round, last_round) of each (topology, seed) of
-    scenarios (same node ids and keys); returns each one's raw counters.
-    node.step never sees the channel, so the scenarios live at a hop share
-    its node states and frame: the nodes step once for all of them."""
+    scenarios (same node ids and keys); returns each one's attempted,
+    delivered and frame bytes sent per hop, and monitor_log or None.  node.step
+    never sees the channel, so the scenarios live at a hop share its node
+    states and frame: the nodes step once for all of them."""
     # NodeStates are immutable values: every round starts from the same
     # idle template, so the list is rebuilt by copy, not reconstruction.
     template = scenarios[0][0].node_states(profile)
-    hops = len(template) - 1
+    hops, width = len(template) - 1, len(template) + 2  # width: log columns
     runs = [(t.links, derive_state(s, _LINK_STREAM_TAG), [0] * hops, [0] * hops,
-             [0] * hops, []) for t, s in scenarios]
+             [0] * hops, [[] for _ in range(width)] if collect_monitor else None)
+            for t, s in scenarios]
 
     for rnd in range(first_round, last_round):
         states = list(template)
@@ -288,10 +280,10 @@ def _simulate_rounds(
                         f"{rx_state.node_id}: {act.reason.value} {act.detail}"
                     )
                 if isinstance(act, nd.DeliverToMonitor) and collect_monitor:
-                    temps = tuple(r.temperature_c for r in act.frame.records)
-                    row = MonitorRow(rnd, act.time, temps)
+                    temps = [r.temperature_c for r in act.frame.records]
                     for run in live:
-                        run[-1].append(row)
+                        for column, value in zip(run[-1], [rnd, act.time, *temps]):
+                            column.append(value)
     return [run[2:] for run in runs]
 
 
@@ -395,14 +387,13 @@ def _count_rounds(
     collect_monitor: bool = False,
 ) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
-    its rows as monitor_log columns, in blocks of _BLOCK_CELLS (scenario,
-    round, hop) cells, at least one round: every scenario reads the one
-    sensor profile (sweep's and run_scenario's default: SensorProfile of the
-    root seed), so a block's readings and frame lengths serve them all, one
-    draw covers them all, and one replay of the first round is every one's
-    canary.  An out-of-range record raises at the earliest round that
-    encodes one, then the first such scenario in list order.  Seeds are
-    taken modulo 2**64."""
+    in blocks of _BLOCK_CELLS (scenario, round, hop) cells, at least one
+    round: every scenario reads the one sensor profile (sweep's and
+    run_scenario's default: SensorProfile of the root seed), so a block's
+    readings and frame lengths serve them all, one draw covers them all, and
+    one replay of the first round is every one's canary.  An out-of-range
+    record raises at the earliest round that encodes one, then the first
+    such scenario in list order.  Seeds are taken modulo 2**64."""
     topology = scenarios[0][0]
     hops = topology.hop_count
     bers = np.array([[link_ber(params, l) for l in t.links] for t, _ in scenarios])
@@ -434,18 +425,19 @@ def _count_rounds(
                 for column, more in zip(log, new):
                     column.extend(more)
         if lo == first_round:
-            canaries = _simulate_rounds(
+            # round lo's counts and logged rows (those up to lo), against its replay
+            head = [
+                (*c, log and [column[:bisect_right(log[0], lo)] for column in log])
+                for c, log in zip(counts[:, :, 0].tolist(), logs)
+            ]
+            canary = _simulate_rounds(
                 scenarios, params, lo, lo + 1, slot_duration, profile, collect_monitor
             )
-            heads = counts[:, :, 0].tolist()  # the first round's counts
-            for head, log, (*canary, canary_rows) in zip(heads, logs, canaries):
-                r, t, *temps = next(zip(*log or ()), (None, None))  # first logged row
-                first = [MonitorRow(r, t, tuple(temps))] if r == lo else []
-                if head != canary or first != canary_rows:
-                    raise RuntimeError(
-                        f"counting engine gives {head} {first} for "
-                        f"round {lo}, reference engine {canary} {canary_rows}"
-                    )
+            if head != canary:
+                raise RuntimeError(
+                    f"counting engine gives {head} for round {lo}, "
+                    f"reference engine {canary}"
+                )
     return [(*total.tolist(), log) for total, log in zip(totals, logs)]
 
 
@@ -459,6 +451,7 @@ def _reports(
     collect_monitor: bool = False,
 ) -> list[PsrReport]:
     """run_scenario of each (topology, seed) of scenarios, in one pass."""
+    rounds = as_int(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     node_ids = scenarios[0][0].node_ids

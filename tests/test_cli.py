@@ -549,9 +549,8 @@ def test_monitor_csv_golden(name, blocks, tmp_path, capsys, monkeypatch):
 def _monitor_csv_per_cell(report, node_ids):
     """The monitor CSV rendered one _fmt call per numeric cell."""
     lines = ["round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)]
-    for row in report.monitor_rows or ():
-        temps = ",".join(_fmt(t) for t in row.temperatures_c)
-        lines.append(f"{row.round_index},{_fmt(row.time_s)},{temps}")
+    for rnd, time_s, *temps in zip(*(report.monitor_log or ())):
+        lines.append(f"{rnd},{_fmt(time_s)}," + ",".join(map(_fmt, temps)))
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,8 @@
 
 run_scenario counts rounds and builds the monitor log with the vectorized
 engine; the reference engine steps every node.  Both draw the same
-substream words, so every per-hop counter and every monitor row must agree
-exactly.
+substream words and return one layout, so every per-hop counter and every
+monitor log column must agree exactly.
 """
 
 import math
@@ -20,7 +20,7 @@ from uwocnet import sim
 from uwocnet.channel import ChannelParams, link_ber, q_inverse
 from uwocnet.config import parse_config
 from uwocnet.node import SensorProfile, min_slot_duration, sample_sensor, sensor_raw
-from uwocnet.rng import Substream, derive_state, derive_states, uniform_at
+from uwocnet.rng import Substream, derive_seed, derive_state, derive_states, uniform_at
 from uwocnet.sim import linear_topology, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -40,19 +40,19 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
 
 
 def engine_counts(topo, params, rounds, seed, profile=None, first=0):
-    """(attempted, delivered, frame_bytes_sum) from both engines."""
+    """(attempted, delivered, frame_bytes_sum, None) from both engines."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    args = (first, first + rounds, slot, profile)
+    args = (first, first + rounds, slot, profile, False)
     [counted] = sim._count_rounds([(topo, seed)], params, *args)
-    [stepped] = sim._simulate_rounds([(topo, seed)], params, *args, False)
-    return counted[:3], stepped[:3]
+    [stepped] = sim._simulate_rounds([(topo, seed)], params, *args)
+    return counted, stepped
 
 
 def assert_engines_agree(topo, params, rounds, seed, profile=None):
     counted, stepped = engine_counts(topo, params, rounds, seed, profile)
     assert counted == stepped
-    return counted
+    return counted[:3]
 
 
 def hop_fields(report):
@@ -72,22 +72,24 @@ def stepped_fields(attempted, delivered, frame_bytes_sum):
 
 
 def assert_monitor_agrees(topo, params, rounds, seed, profile=None):
-    """run_scenario's monitor rows and counts against the reference engine's."""
+    """run_scenario's monitor log and counts against the reference engine's;
+    returns the log's round indices."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    [(*counts, rows)] = sim._simulate_rounds(
+    [(*counts, log)] = sim._simulate_rounds(
         [(topo, seed)], params, 0, rounds, slot, profile, True
     )
     report = run_scenario(
         topo, params, rounds, seed, profile=profile, collect_monitor=True
     )
     assert hop_fields(report) == stepped_fields(*counts)
-    assert report.monitor_rows == tuple(rows)
+    assert report.monitor_log == log
+    assert len(log) == len(topo.node_ids) + 2
     # plain Python values, so the CSV renders them as the reference log
-    for row in report.monitor_rows:
-        assert type(row.round_index) is int and type(row.time_s) is float
-        assert all(type(t) is float for t in row.temperatures_c)
-    return rows
+    indices, *floats = report.monitor_log
+    assert all(type(r) is int for r in indices)
+    assert all(type(x) is float for column in floats for x in column)
+    return indices
 
 
 # --- differential tests ---------------------------------------------------------
@@ -176,10 +178,12 @@ def test_partitions_counts_equal(parts, monkeypatch):
     split_1001_rounds(monkeypatch, parts)
     counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
     slot = min_slot_duration(len(topo.node_ids))
-    [stepped] = sim._simulate_rounds([(topo, 8)], ANCHOR, 0, 1001, slot, profile, False)
+    [(*stepped, log)] = sim._simulate_rounds(
+        [(topo, 8)], ANCHOR, 0, 1001, slot, profile, False
+    )
     assert counted.hops == serial.hops
-    assert hop_fields(counted) == stepped_fields(*stepped[:3])
-    assert counted.monitor_rows is None
+    assert hop_fields(counted) == stepped_fields(*stepped)
+    assert counted.monitor_log is None and log is None
 
 
 def test_many_blocks_counts_equal(monkeypatch):
@@ -263,10 +267,10 @@ def test_escape_heavy_long_line_multi_chunk_counts_equal():
 def test_anchor_line_monitor_rows_equal(ntu):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
-    rows = assert_monitor_agrees(
+    delivered = assert_monitor_agrees(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
     )
-    assert 0 < len(rows) < 1500
+    assert 0 < len(delivered) < 1500
 
 
 def test_heterogeneous_config_monitor_rows_equal():
@@ -277,10 +281,10 @@ def test_heterogeneous_config_monitor_rows_equal():
 
 
 def test_single_hop_monitor_rows_equal():
-    rows = assert_monitor_agrees(
+    delivered = assert_monitor_agrees(
         linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
     )
-    assert 0 < len(rows) < 2000 and len(rows[0].temperatures_c) == 2
+    assert 0 < len(delivered) < 2000
 
 
 def test_escaped_node_ids_monitor_rows_equal():
@@ -290,22 +294,22 @@ def test_escaped_node_ids_monitor_rows_equal():
 
 def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    rows = assert_monitor_agrees(
+    delivered = assert_monitor_agrees(
         topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY
     )
-    assert 0 < len(rows) < 2000
+    assert 0 < len(delivered) < 2000
 
 
 def test_long_line_multi_chunk_monitor_rows_equal():
     topo = linear_topology(range(30), auth_keys=range(1, 31))
-    rows = assert_monitor_agrees(topo, lossy_params(0.995), 400, seed=12)
-    assert 0 < len(rows) < 400
+    delivered = assert_monitor_agrees(topo, lossy_params(0.995), 400, seed=12)
+    assert 0 < len(delivered) < 400
 
 
 def test_ber_underflow_and_zero_signal_monitor_rows_equal():
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
-    rows = assert_monitor_agrees(linear_topology(range(5)), clean, 300, seed=2)
-    assert [row.round_index for row in rows] == list(range(300))
+    delivered = assert_monitor_agrees(linear_topology(range(5)), clean, 300, seed=2)
+    assert delivered == list(range(300))
 
     dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
     deep = linear_topology(range(5), link_distance_m=500.0)
@@ -375,11 +379,10 @@ def test_partition_from_a_late_round_monitor_rows_equal():
     profile = SensorProfile(seed=3)
     slot = min_slot_duration(len(topo.node_ids))
     args = (10**9, 10**9 + 500, slot, profile, True)
-    [(*counts, log)] = sim._count_rounds([(topo, 3)], ANCHOR, *args)
-    [(*stepped, rows)] = sim._simulate_rounds([(topo, 3)], ANCHOR, *args)
-    assert counts == stepped
-    assert sim.PsrReport(70.0, 500, 3, [], log).monitor_rows == tuple(rows)
-    assert 0 < len(rows) < 500
+    counted = sim._count_rounds([(topo, 3)], ANCHOR, *args)
+    assert counted == sim._simulate_rounds([(topo, 3)], ANCHOR, *args)
+    [(*_, log)] = counted
+    assert 0 < len(log[0]) < 500 and log[0][0] >= 10**9
 
 
 # --- layer parity ---------------------------------------------------------------
@@ -639,28 +642,6 @@ def test_tan_forms_give_exact_raws_at_their_hard_points(profile, monkeypatch):
     assert raw.tolist() == expected
 
 
-def test_monitor_log_builds_no_row_objects(monkeypatch):
-    # The log stays in columns: only the canary builds MonitorRows, one in
-    # the reference engine it replays and at most one from the columns.
-    callers = []
-    original = sim.MonitorRow
-
-    def counting(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args)
-
-    monkeypatch.setattr(sim, "MonitorRow", counting)
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 300)  # 300 rounds per block
-    topo = linear_topology(range(5), turbidity_ntu=0.01)
-    report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
-    assert callers.count("_simulate_rounds") == 1 and len(callers) <= 2
-    assert len(report.monitor_log[0]) > 1800
-    monkeypatch.setattr(sim, "MonitorRow", original)
-    args = (0, 2000, min_slot_duration(len(topo.node_ids)), SensorProfile(seed=1))
-    [(*_, rows)] = sim._simulate_rounds([(topo, 1)], ANCHOR, *args, True)
-    assert report.monitor_rows == tuple(rows)
-
-
 def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     # The sink's readings are drawn per block: sample_sensor runs only for
     # the canary round's state machine and for sensor_raw's tie cells.
@@ -674,7 +655,7 @@ def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     monkeypatch.setattr(nd, "sample_sensor", counting)
     topo = linear_topology(range(5), turbidity_ntu=0.01)
     report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
-    assert len(report.monitor_rows) > 1800
+    assert len(report.monitor_log[0]) > 1800
     assert set(callers) <= {"step", "sensor_raw"}
     assert callers.count("step") <= len(topo.node_ids)
     assert len(callers) < 20
@@ -778,21 +759,44 @@ def test_perturbed_engine_trips_the_canary(monkeypatch):
         run_scenario(linear_topology(range(5)), ANCHOR, 10, seed=0)
 
 
-@pytest.mark.parametrize("field", ["time_s", "temperatures_c"])
+def _nudge(column):
+    column[0] += 1e-9
+
+
+def _spurious_round_0(log):
+    for column in log:
+        column.insert(0, column[0])  # a copy of the first logged row ...
+    log[0][0] = 0  # ... as round 0's
+
+
+# Each mangles the first block's counting log in place.
+PERTURBED_LOGS = {
+    # the first entry of the time column, or of the sink's temperatures
+    "time_s": lambda log: _nudge(log[1]),
+    "temperatures_c": lambda log: _nudge(log[-1]),
+    "dropped_row": lambda log: [column.pop(0) for column in log],  # round 0's
+    "spurious_row": _spurious_round_0,  # for a round 0 that was lost
+}
+
+
+@pytest.mark.parametrize("field", PERTURBED_LOGS)
 def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
+    # Seed 1 delivers round 0; seed 0 loses it, yet logs later rounds:
+    # unperturbed, the canary passes on both.
+    topo, params = linear_topology(range(5)), lossy_params(0.9)
+    seed, first_logged = (0, 1) if field == "spurious_row" else (1, 0)
+    rounds, *_ = run_scenario(topo, params, 10, seed, collect_monitor=True).monitor_log
+    assert rounds[0] == first_logged and len(rounds) > 5
     original = sim._monitor_columns
 
     def perturbed(*args):
-        rounds, times, *temps = original(*args)
-        # the first entry of the time column, or of the sink's temperatures
-        column = times if field == "time_s" else temps[-1]
-        column[0] += 1e-9
-        return [rounds, times, *temps]
+        log = original(*args)
+        PERTURBED_LOGS[field](log)
+        return log
 
     monkeypatch.setattr(sim, "_monitor_columns", perturbed)
-    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     with pytest.raises(RuntimeError, match="counting engine"):
-        run_scenario(linear_topology(range(5)), clean, 10, seed=0, collect_monitor=True)
+        run_scenario(topo, params, 10, seed, collect_monitor=True)
 
 
 # --- one counting pass per sweep ---------------------------------------------------
@@ -809,7 +813,7 @@ def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
                      **kwargs)
         for t in SWEEP_NTU
     ]
-    assert not monitor or all(r.monitor_rows for r in expected)
+    assert not monitor or all(r.monitor_log[0] for r in expected)
     for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 16 * block_rounds)
         swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, **kwargs)
@@ -852,13 +856,8 @@ def test_shared_replay_equals_one_replay_per_scenario(monitor):
     shared = sim._simulate_rounds(scenarios, ANCHOR, *args)
     assert shared == [sim._simulate_rounds([s], ANCHOR, *args)[0] for s in scenarios]
     assert 0 < shared[-1][1][0] < 100  # hop 0 of the rare line
-    counted = sim._count_rounds(scenarios, ANCHOR, *args)
-    for (*stepped, rows), (*counts, log) in zip(shared, counted):
-        assert counts == stepped
-        if monitor:
-            assert sim.PsrReport(70.0, 300, 9, [], log).monitor_rows == tuple(rows)
-        else:
-            assert log is None and rows == []
+    assert sim._count_rounds(scenarios, ANCHOR, *args) == shared
+    assert all((log is None) != monitor for *_, log in shared)
 
 
 def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
@@ -932,9 +931,9 @@ def test_batched_draw_equals_one_turbidity_sweeps_on_a_hard_line():
     args = (0, 400, min_slot_duration(30), ESCAPE_HEAVY, True)
     scenarios = [(line, sim.scenario_seed(7, t)) for line, t in zip(lines, HARD_NTU)]
     stepped_runs = sim._simulate_rounds(scenarios, HARD_CHANNEL, *args)
-    for report, (*stepped, rows) in zip(swept, stepped_runs):
+    for report, (*stepped, log) in zip(swept, stepped_runs):
         assert hop_fields(report) == stepped_fields(*stepped)
-        assert report.monitor_rows == tuple(rows)
+        assert report.monitor_log == log
 
 
 def test_each_block_draws_every_scenario_at_once(monkeypatch):
@@ -1006,6 +1005,40 @@ def test_non_integer_seeds_are_rejected_at_entry(seed, message, monkeypatch):
         run_scenario(topo, ANCHOR, 10, seed, profile=SensorProfile(seed=5))
     with pytest.raises(TypeError, match=message):
         sim.sweep(topo, ANCHOR, [0.01, 70.0], 10, seed, profile=SensorProfile(seed=5))
+
+
+@pytest.mark.parametrize("word, same", [
+    (np.int64(1), 1), (np.int32(-2), -2), (np.uint64(2**64 - 1), -1), (np.uint8(7), 7),
+])
+def test_numpy_address_words_are_their_value(word, same):
+    # the words of a substream address, as its seed, are taken modulo 2**64
+    # (no overflow warning: the suite turns warnings into errors)
+    state = derive_state(7, word, 3)
+    assert type(state) is int and state == derive_state(7, same, 3)
+    assert derive_seed(7, word) == derive_seed(7, same)
+    a, b = Substream(7, word), Substream(7, same)
+    assert [a.next_u64(), a.uniform()] == [b.next_u64(), b.uniform()]
+    prefix = np.array([derive_state(7)], np.uint64)
+    assert derive_states(prefix, word).tolist() == [derive_state(7, same)]
+
+
+@pytest.mark.parametrize("word", [1.5, 2.0, np.float64(2.0), True, False, np.True_])
+def test_non_integer_address_words_are_rejected(word):
+    prefix = np.array([derive_state(7)], np.uint64)
+    for build in (lambda: derive_state(7, word), lambda: Substream(7, 1, word),
+                  lambda: derive_seed(7, word), lambda: derive_states(prefix, word)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer|bool"):
+            build()
+
+
+@pytest.mark.parametrize("rounds", [np.int64(300), np.uint16(300)])
+def test_numpy_integer_rounds_are_python_ints(rounds):
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    for run in (lambda n: run_scenario(topo, ANCHOR, n, 5, collect_monitor=True),
+                lambda n: sim.sweep(topo, ANCHOR, [0.01, 70.0], n, 5)[1]):
+        report = run(rounds)
+        assert report == run(300) and type(report.rounds) is int
+        assert all(type(h.cumulative_psr) is float for h in report.hops)
 
 
 def test_profileless_sweep_equals_run_scenario_per_turbidity(monkeypatch):

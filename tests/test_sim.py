@@ -185,9 +185,9 @@ def test_run_scenario_error_free():
         assert hop.cumulative_psr == 1.0
         assert hop.packets_attempted == 100
         assert hop.packets_delivered == 100
-    assert len(report.monitor_rows) == 100
-    assert all(len(r.temperatures_c) == 5 for r in report.monitor_rows)
-    assert all(t == 20.5 for r in report.monitor_rows for t in r.temperatures_c)
+    rounds, _, *temps = report.monitor_log
+    assert rounds == list(range(100))
+    assert temps == [[20.5] * 100] * 5
 
 
 def test_run_scenario_matches_closed_form():
@@ -257,6 +257,14 @@ def test_run_scenario_parallel_plans_identical(monkeypatch):
 def test_run_scenario_validation():
     with pytest.raises(ValueError):
         run_scenario(linear_topology(range(3)), CLEAN, 0, seed=0)
+    # rounds are an integer, as a seed is: neither bool nor float
+    for rounds, message in [
+        (True, "rounds .* bool True"), (3.0, "'float'"), (np.float64(3.0), "'numpy.float64'")
+    ]:
+        with pytest.raises(TypeError, match=message):
+            run_scenario(linear_topology(range(3)), CLEAN, rounds, seed=0)
+        with pytest.raises(TypeError, match=message):
+            sweep(linear_topology(range(3)), CLEAN, [0.01, 70.0], rounds, seed=0)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, workers=workers)
@@ -264,7 +272,7 @@ def test_run_scenario_validation():
 
 def test_monitor_sampled_only_when_requested():
     report = run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0)
-    assert report.monitor_rows is None
+    assert report.monitor_log is None
 
 
 # --- sweep -----------------------------------------------------------------------
@@ -325,8 +333,8 @@ def test_single_hop_topology():
     report = run_scenario(topo, CLEAN, 50, seed=4, profile=QUIET,
                           collect_monitor=True)
     assert report.hops[0].cumulative_psr == 1.0
-    assert len(report.monitor_rows) == 50
-    assert all(len(r.temperatures_c) == 2 for r in report.monitor_rows)
+    rounds, _, *temps = report.monitor_log
+    assert rounds == list(range(50)) and len(temps) == 2
     lossy = lossy_params(0.8, frame_bytes=8)
     lossy_report = run_scenario(topo, lossy, 4000, seed=4, profile=QUIET)
     psr = lossy_report.hops[0].cumulative_psr
