@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 from .channel import ChannelParams
 from .node import DEFAULT_BIT_RATE, SensorProfile, min_slot_duration, schedule
+from .rng import as_int
 from .sim import Topology, linear_topology
 
 
@@ -50,7 +51,7 @@ class ScenarioConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
+        if as_int(self.rounds, "rounds") < 1:
             raise ValueError("rounds must be >= 1")
 
     @property

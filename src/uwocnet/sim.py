@@ -508,7 +508,7 @@ def run_scenario(
     kept for API callers only: it must be >= 1 and changes neither the
     blocks, the speed nor the output.
     """
-    if workers < 1:
+    if as_int(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(
@@ -524,10 +524,13 @@ def sweep(
     rounds: int,
     seed: int,
     *,
+    slot_duration: float | None = None,
+    bit_rate: float = nd.DEFAULT_BIT_RATE,
     profile: nd.SensorProfile | None = None,
-    **kwargs,
+    collect_monitor: bool = False,
 ) -> list[PsrReport]:
-    """run_scenario at each turbidity, each on its own derived substream.
+    """run_scenario at each turbidity, each on its own derived substream,
+    with run_scenario's keywords but workers.
 
     Output order matches the input turbidity order; each scenario's seed
     depends only on (seed, turbidity value), not on list position.  Every
@@ -539,4 +542,6 @@ def sweep(
     if not scenarios:
         raise ValueError("need at least one turbidity")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
-    return _reports(scenarios, params, rounds, profile, **kwargs)
+    return _reports(
+        scenarios, params, rounds, profile, slot_duration, bit_rate, collect_monitor
+    )

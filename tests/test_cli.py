@@ -1,6 +1,7 @@
 """CLI harness: subcommands, CSV schemas, exit codes, determinism."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from uwocnet.cli import (
     build_parser,
     main,
     render_monitor_csv,
+    render_psr_csv,
 )
 from uwocnet.config import parse_config
 from uwocnet.sim import PsrReport
@@ -445,6 +447,22 @@ def test_sweep_csv_golden(config, blocks, tmp_path, monkeypatch):
     argv += ["--rounds", "3000", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_GOLDEN[config]
+
+
+def test_mixed_turbidity_line_renders_nan_turbidity():
+    # one 70 NTU link among 0 NTU links: the report names no one turbidity,
+    # and each of its CSV rows says so
+    config = parse_config(LOSSY_CONFIG)
+    clear = config.topology(0.0)
+    murky = clear.with_turbidity(70.0).links[2]
+    topo = sim.Topology(clear.node_ids, clear.auth_keys,
+                        (*clear.links[:2], murky, *clear.links[3:]))
+    report = sim.run_scenario(topo, config.channel, 300, config.seed)
+    assert math.isnan(report.turbidity_ntu)
+    lux = [hop.rx_lux for hop in report.hops]
+    assert lux[2] < lux[0] == lux[1] == lux[3]
+    rows = render_psr_csv([report], "mixed").splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["nan"] * 4
 
 
 def test_sweep_requires_turbidity(base_cfg):

@@ -1,7 +1,7 @@
 """Scenario config parsing, validation, defaults, and round-tripping."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -149,6 +149,13 @@ def test_unparsable_values_cite_line(text, line, reason):
         parse_config(text)
     assert exc.value.line == line
     assert reason in exc.value.reason
+
+
+@pytest.mark.parametrize("rounds", [2.5, True])
+def test_rounds_must_be_an_integer(rounds):
+    # emit_config would write them, and parse_config reject what it wrote
+    with pytest.raises(TypeError, match="'float'|rounds .* bool True"):
+        replace(parse_config(MINIMAL), rounds=rounds)
 
 
 def test_seed_is_the_sensor_seed():

@@ -3,7 +3,10 @@
 run_scenario counts rounds and builds the monitor log with the vectorized
 engine; the reference engine steps every node.  Both draw the same
 substream words and return one layout, so every per-hop counter and every
-monitor log column must agree exactly.
+monitor log column must agree exactly.  Each differential case replays its
+rounds through the reference engine once, with the log: the counting
+engine's result with the log must equal it whole, and its result without
+the log must hold the same counts.
 """
 
 import math
@@ -39,20 +42,23 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
     return ChannelParams(1000.0, c, 0.0, noise_sigma=1.0)
 
 
-def engine_counts(topo, params, rounds, seed, profile=None, first=0):
-    """(attempted, delivered, frame_bytes_sum, None) from both engines."""
+def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
+    """Rounds [first, first + rounds) from both engines, the reference engine
+    run once, with the log; returns the counting engine's (attempted,
+    delivered, frame_bytes_sum, log)."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    args = (first, first + rounds, slot, profile, False)
-    [counted] = sim._count_rounds([(topo, seed)], params, *args)
-    [stepped] = sim._simulate_rounds([(topo, seed)], params, *args)
-    return counted, stepped
-
-
-def assert_engines_agree(topo, params, rounds, seed, profile=None):
-    counted, stepped = engine_counts(topo, params, rounds, seed, profile)
+    args = ([(topo, seed)], params, first, first + rounds, slot, profile)
+    [stepped] = sim._simulate_rounds(*args, True)
+    [counted] = sim._count_rounds(*args, True)
     assert counted == stepped
-    return counted[:3]
+    assert sim._count_rounds(*args, False) == [(*counted[:3], None)]
+    indices, *floats = counted[3]
+    assert len(floats) == len(topo.node_ids) + 1
+    # plain Python values, so the CSV renders them as the reference log
+    assert all(type(r) is int for r in indices)
+    assert all(type(x) is float for column in floats for x in column)
+    return counted
 
 
 def hop_fields(report):
@@ -71,97 +77,100 @@ def stepped_fields(attempted, delivered, frame_bytes_sum):
     ]
 
 
-def assert_monitor_agrees(topo, params, rounds, seed, profile=None):
-    """run_scenario's monitor log and counts against the reference engine's;
-    returns the log's round indices."""
-    profile = profile if profile is not None else SensorProfile(seed=seed)
-    slot = min_slot_duration(len(topo.node_ids))
-    [(*counts, log)] = sim._simulate_rounds(
-        [(topo, seed)], params, 0, rounds, slot, profile, True
-    )
+def assert_report_agrees(topo, params, rounds, seed, profile=None):
+    """assert_engines_agree from round 0, and run_scenario's report of
+    those rounds; returns the same."""
+    counted = assert_engines_agree(topo, params, rounds, seed, profile)
     report = run_scenario(
         topo, params, rounds, seed, profile=profile, collect_monitor=True
     )
-    assert hop_fields(report) == stepped_fields(*counts)
-    assert report.monitor_log == log
-    assert len(log) == len(topo.node_ids) + 2
-    # plain Python values, so the CSV renders them as the reference log
-    indices, *floats = report.monitor_log
-    assert all(type(r) is int for r in indices)
-    assert all(type(x) is float for column in floats for x in column)
-    return indices
+    assert hop_fields(report) == stepped_fields(*counted[:3])
+    assert report.monitor_log == counted[3]
+    return counted
 
 
 # --- differential tests ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("ntu", [0.01, 70.0])
-@pytest.mark.parametrize("root_seed", [ACCEPTANCE_SEED, 1, 42, 987654321])
-def test_anchor_line_counts_equal(ntu, root_seed):
+@pytest.mark.parametrize("ntu, root_seed", [
+    # the acceptance seed's two cases are [0.01] and [70.0]
+    pytest.param(ntu, seed, id=f"{ntu}" if seed == ACCEPTANCE_SEED else f"{seed}-{ntu}")
+    for seed in (ACCEPTANCE_SEED, 1, 42, 987654321)
+    for ntu in (0.01, 70.0)
+])
+def test_anchor_line_monitor_rows_equal(ntu, root_seed):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(root_seed, ntu)
-    attempted, delivered, _ = assert_engines_agree(
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
     )
     assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
+    assert 0 < len(logged) == delivered[-1]
 
 
-def test_heterogeneous_config_counts_equal():
+def test_heterogeneous_config_monitor_rows_equal():
     config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
-    counted, stepped = engine_counts(
+    assert_report_agrees(
         config.topology(70.0), config.channel, 1500, config.seed, config.sensor
     )
-    assert counted == stepped
 
 
-def test_single_hop_counts_equal():
-    topo = linear_topology(range(2))
-    attempted, delivered, _ = assert_engines_agree(
-        topo, lossy_params(0.8, frame_bytes=8), 2000, seed=4
+def test_single_hop_monitor_rows_equal():
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+        linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
     )
     assert 0 < delivered[0] < attempted[0]
+    assert 0 < len(logged) < 2000
 
 
-def test_escaped_node_ids_counts_equal():
+def test_escaped_node_ids_monitor_rows_equal():
     # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    _, _, frame_bytes = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
+    _, _, frame_bytes, _ = assert_report_agrees(topo, lossy_params(0.9), 2000, seed=6)
     (nominal,) = fr.hop_frame_lengths([0x7D])
     assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
 
 
-def test_long_line_multi_chunk_counts_equal():
+def test_long_line_multi_chunk_monitor_rows_equal():
     # 30 nodes: frames on the last hops exceed 1024 on-wire bits, so the
     # hop outcome takes a second uniform from the link substream.
     ids = list(range(30))
     topo = linear_topology(ids, auth_keys=range(1, 31))
     lengths = fr.hop_frame_lengths(ids[:-1])
     assert 10 * lengths[-1] > 1024
-    attempted, delivered, _ = assert_engines_agree(
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
         topo, lossy_params(0.995), 400, seed=12
     )
     long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
     assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
+    assert 0 < len(logged) < 400
 
 
-def test_ber_underflow_and_zero_signal_counts_equal():
+def test_ber_underflow_and_zero_signal_monitor_rows_equal():
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     topo = linear_topology(range(5))
     assert link_ber(clean, topo.links[0]) == 0.0
-    attempted, delivered, _ = assert_engines_agree(topo, clean, 300, seed=2)
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+        topo, clean, 300, seed=2
+    )
     assert attempted == delivered == [300] * 4
+    assert logged == list(range(300))
 
     dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
     deep = linear_topology(range(5), link_distance_m=500.0)
     assert link_ber(dark, deep.links[0]) == 0.5
-    attempted, delivered, _ = assert_engines_agree(deep, dark, 300, seed=2)
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+        deep, dark, 300, seed=2
+    )
     assert attempted == [300, 0, 0, 0] and delivered == [0] * 4
+    assert logged == []
 
 
-def test_noiseless_sensor_counts_equal():
+def test_noiseless_sensor_monitor_rows_equal():
     profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
-    topo = linear_topology(range(5))
-    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=3, profile=profile)
+    assert_report_agrees(
+        linear_topology(range(5)), lossy_params(0.9), 2000, seed=3, profile=profile
+    )
 
 
 def split_1001_rounds(monkeypatch, parts):
@@ -171,32 +180,63 @@ def split_1001_rounds(monkeypatch, parts):
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_partitions_counts_equal(parts, monkeypatch):
+def test_partitions_monitor_rows_equal(parts, monkeypatch):
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     profile = SensorProfile(seed=8)
-    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile, collect_monitor=True)
     split_1001_rounds(monkeypatch, parts)
-    counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
-    slot = min_slot_duration(len(topo.node_ids))
-    [(*stepped, log)] = sim._simulate_rounds(
-        [(topo, 8)], ANCHOR, 0, 1001, slot, profile, False
-    )
-    assert counted.hops == serial.hops
-    assert hop_fields(counted) == stepped_fields(*stepped)
-    assert counted.monitor_log is None and log is None
+    *counts, log = assert_report_agrees(topo, ANCHOR, 1001, 8, profile)
+    assert hop_fields(serial) == stepped_fields(*counts)
+    assert serial.monitor_log == log
+
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_one_canary_round_per_run(workers, monkeypatch):
+    # workers is checked but sizes nothing: in seven blocks too, one pass,
+    # one round replayed through the reference engine, the workers=1 report
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
+    simulate = sim._simulate_rounds
+    replayed = []
+
+    def counted(scenarios, params, first_round, last_round, *rest):
+        replayed.append(last_round - first_round)
+        return simulate(scenarios, params, first_round, last_round, *rest)
+
+    monkeypatch.setattr(sim, "_simulate_rounds", counted)
+    split_1001_rounds(monkeypatch, 7)
+    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
+    assert replayed == [1]
+    assert report == serial
 
 
-def test_many_blocks_counts_equal(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2, 7, 5000])
+def test_workers_leaves_the_block_plan(workers, monkeypatch):
+    # the blocks depend on the line alone: 1001 rounds on 4 hops are one
+    # block whatever workers is (it starts no thread or process)
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
+    readings, block_rounds = sim._readings, []
+
+    def counted_readings(topology, rnd, *rest):
+        block_rounds.append(len(rnd))
+        return readings(topology, rnd, *rest)
+
+    monkeypatch.setattr(sim, "_readings", counted_readings)
+    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
+    assert block_rounds == [1001]
+    assert report == serial
+
+
+def test_many_blocks_monitor_rows_equal(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
     topo = linear_topology(range(5), turbidity_ntu=70.0)
-    counted, stepped = engine_counts(topo, ANCHOR, 1001, 5)
-    assert counted == stepped
+    assert_report_agrees(topo, ANCHOR, 1001, 5)
 
 
-def test_partition_from_a_late_round_counts_equal():
+def test_partition_from_a_late_round_monitor_rows_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
-    counted, stepped = engine_counts(topo, ANCHOR, 500, 3, first=10**9)
-    assert counted == stepped
+    *_, (logged, *_) = assert_engines_agree(topo, ANCHOR, 500, 3, first=10**9)
+    assert 0 < len(logged) < 500 and logged[0] >= 10**9
 
 
 # Near -39 degC the high byte is 0x00 about half the time and the low byte
@@ -241,148 +281,26 @@ def test_hop_frame_lengths_equal_the_cumsum_formula():
 def test_escape_heavy_anchor_line_counts_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     seed = sim.scenario_seed(ACCEPTANCE_SEED, 70.0)
-    attempted, delivered, _ = assert_engines_agree(
+    attempted, delivered, *_ = assert_report_agrees(
         topo, ANCHOR, 1500, seed, ESCAPE_HEAVY
     )
     assert delivered[-1] < attempted[0] == 1500
 
 
-def test_escape_heavy_escaped_node_ids_counts_equal():
+def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY)
+    *_, (logged, *_) = assert_report_agrees(
+        topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY
+    )
+    assert 0 < len(logged) < 2000
 
 
 def test_escape_heavy_long_line_multi_chunk_counts_equal():
     topo = linear_topology(range(30), auth_keys=range(1, 31))
-    attempted, delivered, _ = assert_engines_agree(
+    attempted, delivered, *_ = assert_report_agrees(
         topo, lossy_params(0.995), 400, seed=12, profile=ESCAPE_HEAVY
     )
     assert 0 < delivered[-1] < attempted[-1]
-
-
-# --- monitor rows ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("ntu", [0.01, 70.0])
-def test_anchor_line_monitor_rows_equal(ntu):
-    topo = linear_topology(range(5), turbidity_ntu=ntu)
-    seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
-    delivered = assert_monitor_agrees(
-        topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
-    )
-    assert 0 < len(delivered) < 1500
-
-
-def test_heterogeneous_config_monitor_rows_equal():
-    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
-    assert_monitor_agrees(
-        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
-    )
-
-
-def test_single_hop_monitor_rows_equal():
-    delivered = assert_monitor_agrees(
-        linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
-    )
-    assert 0 < len(delivered) < 2000
-
-
-def test_escaped_node_ids_monitor_rows_equal():
-    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    assert_monitor_agrees(topo, lossy_params(0.9), 2000, seed=6)
-
-
-def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
-    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    delivered = assert_monitor_agrees(
-        topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY
-    )
-    assert 0 < len(delivered) < 2000
-
-
-def test_long_line_multi_chunk_monitor_rows_equal():
-    topo = linear_topology(range(30), auth_keys=range(1, 31))
-    delivered = assert_monitor_agrees(topo, lossy_params(0.995), 400, seed=12)
-    assert 0 < len(delivered) < 400
-
-
-def test_ber_underflow_and_zero_signal_monitor_rows_equal():
-    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
-    delivered = assert_monitor_agrees(linear_topology(range(5)), clean, 300, seed=2)
-    assert delivered == list(range(300))
-
-    dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
-    deep = linear_topology(range(5), link_distance_m=500.0)
-    assert assert_monitor_agrees(deep, dark, 300, seed=2) == []
-
-
-def test_noiseless_sensor_monitor_rows_equal():
-    profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
-    assert_monitor_agrees(
-        linear_topology(range(5)), lossy_params(0.9), 2000, seed=3, profile=profile
-    )
-
-
-@pytest.mark.parametrize("parts", [1, 2, 3, 7])
-def test_partitions_monitor_rows_equal(parts, monkeypatch):
-    split_1001_rounds(monkeypatch, parts)
-    topo = linear_topology(range(5), turbidity_ntu=70.0)
-    assert_monitor_agrees(topo, ANCHOR, 1001, 8)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 7])
-def test_one_canary_round_per_run(workers, monkeypatch):
-    # workers is checked but sizes nothing: in seven blocks too, one pass,
-    # one round replayed through the reference engine, the workers=1 report
-    topo = linear_topology(range(5), turbidity_ntu=70.0)
-    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
-    simulate = sim._simulate_rounds
-    replayed = []
-
-    def counted(scenarios, params, first_round, last_round, *rest):
-        replayed.append(last_round - first_round)
-        return simulate(scenarios, params, first_round, last_round, *rest)
-
-    monkeypatch.setattr(sim, "_simulate_rounds", counted)
-    split_1001_rounds(monkeypatch, 7)
-    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
-    assert replayed == [1]
-    assert report == serial
-
-
-@pytest.mark.parametrize("workers", [1, 2, 7, 5000])
-def test_workers_leaves_the_block_plan(workers, monkeypatch):
-    # the blocks depend on the line alone: 1001 rounds on 4 hops are one
-    # block whatever workers is (it starts no thread or process)
-    topo = linear_topology(range(5), turbidity_ntu=70.0)
-    serial = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True)
-    readings, block_rounds = sim._readings, []
-
-    def counted_readings(topology, rnd, *rest):
-        block_rounds.append(len(rnd))
-        return readings(topology, rnd, *rest)
-
-    monkeypatch.setattr(sim, "_readings", counted_readings)
-    report = run_scenario(topo, ANCHOR, 1001, 8, collect_monitor=True, workers=workers)
-    assert block_rounds == [1001]
-    assert report == serial
-
-
-def test_many_blocks_monitor_rows_equal(monkeypatch):
-    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
-    topo = linear_topology(range(5), turbidity_ntu=70.0)
-    assert_monitor_agrees(topo, ANCHOR, 1001, 5)
-
-
-def test_partition_from_a_late_round_monitor_rows_equal():
-    topo = linear_topology(range(5), turbidity_ntu=70.0)
-    profile = SensorProfile(seed=3)
-    slot = min_slot_duration(len(topo.node_ids))
-    args = (10**9, 10**9 + 500, slot, profile, True)
-    counted = sim._count_rounds([(topo, 3)], ANCHOR, *args)
-    assert counted == sim._simulate_rounds([(topo, 3)], ANCHOR, *args)
-    [(*_, log)] = counted
-    assert 0 < len(log[0]) < 500 and log[0][0] >= 10**9
 
 
 # --- layer parity ---------------------------------------------------------------
@@ -514,7 +432,7 @@ def test_reading_exactly_on_half_rounds_to_even():
     profile = SensorProfile(baseline_c=20.001953125, amplitude_c=0.0, noise_std_c=0.0)
     assert sensor_raw(0, np.zeros(3), profile).tolist() == [0x3C00] * 3
     topo = linear_topology(range(5))
-    _, _, frame_bytes = assert_engines_agree(
+    _, _, frame_bytes, _ = assert_engines_agree(
         topo, lossy_params(0.9), 200, seed=1, profile=profile
     )
     assert frame_bytes[0] == 200 * (fr.hop_frame_lengths([0])[0] + 1)
@@ -804,20 +722,21 @@ def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
 SWEEP_NTU = [70.0, 0.01, 40.0, 150.0]
 
 
-@pytest.mark.parametrize("monitor", [False, True])
-def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
-    topo = linear_topology(range(5))
-    kwargs = dict(profile=SensorProfile(seed=21), collect_monitor=monitor)
+def test_sweep_equals_run_scenario_per_turbidity(monkeypatch):
+    topo, profile = linear_topology(range(5)), SensorProfile(seed=21)
     expected = [
         run_scenario(topo.with_turbidity(t), ANCHOR, 301, sim.scenario_seed(21, t),
-                     **kwargs)
+                     profile=profile, collect_monitor=True)
         for t in SWEEP_NTU
     ]
-    assert not monitor or all(r.monitor_log[0] for r in expected)
+    assert all(r.monitor_log[0] for r in expected)
+    counts = [replace(r, monitor_log=None) for r in expected]
     for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 16 * block_rounds)
-        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, **kwargs)
+        swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, profile=profile,
+                          collect_monitor=True)
         assert swept == expected
+        assert sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, profile=profile) == counts
 
 
 @pytest.mark.parametrize("monitor", [False, True])
@@ -843,8 +762,7 @@ def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
     assert replayed == [([sim.scenario_seed(4, t) for t in SWEEP_NTU], 0, 1)]
 
 
-@pytest.mark.parametrize("monitor", [False, True])
-def test_shared_replay_equals_one_replay_per_scenario(monitor):
+def test_shared_replay_equals_one_replay_per_scenario():
     # The nodes step once for all scenarios, on the bytes a live one received;
     # the last scenario's hop 0 (5 m) rarely delivers, so it is often the
     # last one drawn while the others are still live.
@@ -852,12 +770,13 @@ def test_shared_replay_equals_one_replay_per_scenario(monitor):
     scenarios = [(topo.with_turbidity(t), sim.scenario_seed(9, t)) for t in SWEEP_NTU]
     rare = linear_topology(range(5), link_distance_m=(5, 4, 4, 4), turbidity_ntu=70.0)
     scenarios.append((rare, 9))
-    args = (0, 300, min_slot_duration(5), profile, monitor)
-    shared = sim._simulate_rounds(scenarios, ANCHOR, *args)
-    assert shared == [sim._simulate_rounds([s], ANCHOR, *args)[0] for s in scenarios]
+    args = (scenarios, ANCHOR, 0, 300, min_slot_duration(5), profile)
+    shared = sim._simulate_rounds(*args, True)
+    assert shared == [sim._simulate_rounds([s], *args[1:], True)[0] for s in scenarios]
     assert 0 < shared[-1][1][0] < 100  # hop 0 of the rare line
-    assert sim._count_rounds(scenarios, ANCHOR, *args) == shared
-    assert all((log is None) != monitor for *_, log in shared)
+    assert all(log[0] for *_, log in shared)
+    assert sim._count_rounds(*args, True) == shared
+    assert sim._count_rounds(*args, False) == [(*run[:3], None) for run in shared]
 
 
 def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):

@@ -268,6 +268,12 @@ def test_run_scenario_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, workers=workers)
+    # workers is an integer too, taken by the same rule
+    for workers, message in [
+        (True, "workers .* bool True"), (2.5, "'float'"), ("3", "'str'")
+    ]:
+        with pytest.raises(TypeError, match=message):
+            run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, workers=workers)
 
 
 def test_monitor_sampled_only_when_requested():
@@ -324,6 +330,11 @@ def test_sweep_monotone_in_turbidity():
 def test_sweep_rejects_empty_list():
     with pytest.raises(ValueError):
         sweep(linear_topology(range(3)), CLEAN, [], 10, seed=0)
+
+
+def test_sweep_names_itself_for_an_unknown_keyword():
+    with pytest.raises(TypeError, match=r"^sweep\(\) got an unexpected keyword"):
+        sweep(linear_topology(range(3)), CLEAN, [0.01], 10, seed=0, slot=1.0)
 
 
 def test_single_hop_topology():
