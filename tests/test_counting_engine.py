@@ -4,11 +4,12 @@ run_scenario counts rounds and builds the monitor log with the vectorized
 engine; the reference engine steps every node.  Both draw the same
 substream words and return one layout, so every per-hop counter and every
 monitor log column must agree exactly.  Each differential case replays its
-rounds through the reference engine once, with the log: the counting
-engine's result with the log must equal it whole, and its result without
-the log must hold the same counts.
+rounds through the reference engine once, with the log, however many tests
+compare against it: the counting engine's result with the log must equal
+it whole, and its result without the log must hold the same counts.
 """
 
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -42,14 +43,24 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
     return ChannelParams(1000.0, c, 0.0, noise_sigma=1.0)
 
 
+@functools.cache
+def reference_rounds(scenarios, params, first, last, slot, profile):
+    """The reference engine's rounds [first, last) of a tuple of (topology,
+    seed) scenarios, with the log, stepped once per case and shared by every
+    test that compares against it (callers must not mutate it)."""
+    return sim._simulate_rounds(
+        list(scenarios), params, first, last, slot, profile, True
+    )
+
+
 def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
-    """Rounds [first, first + rounds) from both engines, the reference engine
-    run once, with the log; returns the counting engine's (attempted,
-    delivered, frame_bytes_sum, log)."""
+    """Rounds [first, first + rounds) from both engines against the one
+    reference replay of the case, with the log; returns the counting
+    engine's (attempted, delivered, frame_bytes_sum, log)."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
     args = ([(topo, seed)], params, first, first + rounds, slot, profile)
-    [stepped] = sim._simulate_rounds(*args, True)
+    [stepped] = reference_rounds(((topo, seed),), *args[1:])
     [counted] = sim._count_rounds(*args, True)
     assert counted == stepped
     assert sim._count_rounds(*args, False) == [(*counted[:3], None)]
@@ -92,20 +103,34 @@ def assert_report_agrees(topo, params, rounds, seed, profile=None):
 # --- differential tests ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("ntu, root_seed", [
-    # the acceptance seed's two cases are [0.01] and [70.0]
-    pytest.param(ntu, seed, id=f"{ntu}" if seed == ACCEPTANCE_SEED else f"{seed}-{ntu}")
-    for seed in (ACCEPTANCE_SEED, 1, 42, 987654321)
-    for ntu in (0.01, 70.0)
-])
-def test_anchor_line_monitor_rows_equal(ntu, root_seed):
+@pytest.mark.parametrize("ntu", [0.01, 70.0])
+@pytest.mark.parametrize("root_seed", [ACCEPTANCE_SEED, 1, 42, 987654321])
+def test_anchor_line_counts_equal(ntu, root_seed):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(root_seed, ntu)
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    attempted, delivered, _, (logged, *_) = assert_engines_agree(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
     )
     assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
     assert 0 < len(logged) == delivered[-1]
+
+
+@pytest.mark.parametrize("ntu", [0.01, 70.0])
+def test_anchor_line_monitor_rows_equal(ntu):
+    topo = linear_topology(range(5), turbidity_ntu=ntu)
+    seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
+    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+        topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
+    )
+    assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
+    assert 0 < len(logged) == delivered[-1]
+
+
+def test_heterogeneous_config_counts_equal():
+    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
+    assert_engines_agree(
+        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
+    )
 
 
 def test_heterogeneous_config_monitor_rows_equal():
@@ -113,6 +138,13 @@ def test_heterogeneous_config_monitor_rows_equal():
     assert_report_agrees(
         config.topology(70.0), config.channel, 1500, config.seed, config.sensor
     )
+
+
+def test_single_hop_counts_equal():
+    attempted, delivered, _, _ = assert_engines_agree(
+        linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
+    )
+    assert 0 < delivered[0] < attempted[0]
 
 
 def test_single_hop_monitor_rows_equal():
@@ -123,12 +155,34 @@ def test_single_hop_monitor_rows_equal():
     assert 0 < len(logged) < 2000
 
 
+def test_escaped_node_ids_counts_equal():
+    # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    _, _, frame_bytes, _ = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
+    (nominal,) = fr.hop_frame_lengths([0x7D])
+    assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
+
+
 def test_escaped_node_ids_monitor_rows_equal():
     # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
     _, _, frame_bytes, _ = assert_report_agrees(topo, lossy_params(0.9), 2000, seed=6)
     (nominal,) = fr.hop_frame_lengths([0x7D])
     assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
+
+
+def test_long_line_multi_chunk_counts_equal():
+    # 30 nodes: frames on the last hops exceed 1024 on-wire bits, so the
+    # hop outcome takes a second uniform from the link substream.
+    ids = list(range(30))
+    topo = linear_topology(ids, auth_keys=range(1, 31))
+    lengths = fr.hop_frame_lengths(ids[:-1])
+    assert 10 * lengths[-1] > 1024
+    attempted, delivered, _, _ = assert_engines_agree(
+        topo, lossy_params(0.995), 400, seed=12
+    )
+    long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
+    assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
 
 
 def test_long_line_multi_chunk_monitor_rows_equal():
@@ -144,6 +198,20 @@ def test_long_line_multi_chunk_monitor_rows_equal():
     long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
     assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
     assert 0 < len(logged) < 400
+
+
+def test_ber_underflow_and_zero_signal_counts_equal():
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    topo = linear_topology(range(5))
+    assert link_ber(clean, topo.links[0]) == 0.0
+    attempted, delivered, _, _ = assert_engines_agree(topo, clean, 300, seed=2)
+    assert attempted == delivered == [300] * 4
+
+    dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
+    deep = linear_topology(range(5), link_distance_m=500.0)
+    assert link_ber(dark, deep.links[0]) == 0.5
+    attempted, delivered, _, _ = assert_engines_agree(deep, dark, 300, seed=2)
+    assert attempted == [300, 0, 0, 0] and delivered == [0] * 4
 
 
 def test_ber_underflow_and_zero_signal_monitor_rows_equal():
@@ -166,6 +234,13 @@ def test_ber_underflow_and_zero_signal_monitor_rows_equal():
     assert logged == []
 
 
+def test_noiseless_sensor_counts_equal():
+    profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
+    assert_engines_agree(
+        linear_topology(range(5)), lossy_params(0.9), 2000, seed=3, profile=profile
+    )
+
+
 def test_noiseless_sensor_monitor_rows_equal():
     profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
     assert_report_agrees(
@@ -180,6 +255,19 @@ def split_1001_rounds(monkeypatch, parts):
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_partitions_counts_equal(parts, monkeypatch):
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    profile = SensorProfile(seed=8)
+    serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
+    split_1001_rounds(monkeypatch, parts)
+    counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
+    *counts, _ = assert_engines_agree(topo, ANCHOR, 1001, 8, profile)
+    assert counted.hops == serial.hops
+    assert hop_fields(counted) == stepped_fields(*counts)
+    assert counted.monitor_log is None
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
 def test_partitions_monitor_rows_equal(parts, monkeypatch):
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     profile = SensorProfile(seed=8)
@@ -188,6 +276,7 @@ def test_partitions_monitor_rows_equal(parts, monkeypatch):
     *counts, log = assert_report_agrees(topo, ANCHOR, 1001, 8, profile)
     assert hop_fields(serial) == stepped_fields(*counts)
     assert serial.monitor_log == log
+
 
 @pytest.mark.parametrize("workers", [1, 2, 7])
 def test_one_canary_round_per_run(workers, monkeypatch):
@@ -227,10 +316,21 @@ def test_workers_leaves_the_block_plan(workers, monkeypatch):
     assert report == serial
 
 
+def test_many_blocks_counts_equal(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_engines_agree(topo, ANCHOR, 1001, 5)
+
+
 def test_many_blocks_monitor_rows_equal(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     assert_report_agrees(topo, ANCHOR, 1001, 5)
+
+
+def test_partition_from_a_late_round_counts_equal():
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_engines_agree(topo, ANCHOR, 500, 3, first=10**9)
 
 
 def test_partition_from_a_late_round_monitor_rows_equal():
@@ -285,6 +385,11 @@ def test_escape_heavy_anchor_line_counts_equal():
         topo, ANCHOR, 1500, seed, ESCAPE_HEAVY
     )
     assert delivered[-1] < attempted[0] == 1500
+
+
+def test_escape_heavy_escaped_node_ids_counts_equal():
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY)
 
 
 def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
@@ -722,7 +827,8 @@ def test_perturbed_monitor_row_trips_the_canary(monkeypatch, field):
 SWEEP_NTU = [70.0, 0.01, 40.0, 150.0]
 
 
-def test_sweep_equals_run_scenario_per_turbidity(monkeypatch):
+@pytest.mark.parametrize("monitor", [False, True])
+def test_sweep_equals_run_scenario_per_turbidity(monitor, monkeypatch):
     topo, profile = linear_topology(range(5)), SensorProfile(seed=21)
     expected = [
         run_scenario(topo.with_turbidity(t), ANCHOR, 301, sim.scenario_seed(21, t),
@@ -730,13 +836,13 @@ def test_sweep_equals_run_scenario_per_turbidity(monkeypatch):
         for t in SWEEP_NTU
     ]
     assert all(r.monitor_log[0] for r in expected)
-    counts = [replace(r, monitor_log=None) for r in expected]
+    if not monitor:
+        expected = [replace(r, monitor_log=None) for r in expected]
     for block_rounds in (150, 101):  # blocks of 150, 150, 1; of 101, 101, 99
         monkeypatch.setattr(sim, "_BLOCK_CELLS", 16 * block_rounds)
         swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, profile=profile,
-                          collect_monitor=True)
+                          collect_monitor=monitor)
         assert swept == expected
-        assert sim.sweep(topo, ANCHOR, SWEEP_NTU, 301, 21, profile=profile) == counts
 
 
 @pytest.mark.parametrize("monitor", [False, True])
@@ -762,7 +868,8 @@ def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
     assert replayed == [([sim.scenario_seed(4, t) for t in SWEEP_NTU], 0, 1)]
 
 
-def test_shared_replay_equals_one_replay_per_scenario():
+@pytest.mark.parametrize("monitor", [False, True])
+def test_shared_replay_equals_one_replay_per_scenario(monitor):
     # The nodes step once for all scenarios, on the bytes a live one received;
     # the last scenario's hop 0 (5 m) rarely delivers, so it is often the
     # last one drawn while the others are still live.
@@ -770,13 +877,13 @@ def test_shared_replay_equals_one_replay_per_scenario():
     scenarios = [(topo.with_turbidity(t), sim.scenario_seed(9, t)) for t in SWEEP_NTU]
     rare = linear_topology(range(5), link_distance_m=(5, 4, 4, 4), turbidity_ntu=70.0)
     scenarios.append((rare, 9))
-    args = (scenarios, ANCHOR, 0, 300, min_slot_duration(5), profile)
-    shared = sim._simulate_rounds(*args, True)
-    assert shared == [sim._simulate_rounds([s], *args[1:], True)[0] for s in scenarios]
+    args = (ANCHOR, 0, 300, min_slot_duration(5), profile)
+    shared = reference_rounds(tuple(scenarios), *args)
+    assert shared == [reference_rounds((s,), *args)[0] for s in scenarios]
     assert 0 < shared[-1][1][0] < 100  # hop 0 of the rare line
     assert all(log[0] for *_, log in shared)
-    assert sim._count_rounds(*args, True) == shared
-    assert sim._count_rounds(*args, False) == [(*run[:3], None) for run in shared]
+    expected = shared if monitor else [(*run[:3], None) for run in shared]
+    assert sim._count_rounds(scenarios, *args, monitor) == expected
 
 
 def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
