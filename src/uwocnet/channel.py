@@ -38,7 +38,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import frame as fr
-from .rng import zero_draw_probability
+from .rng import as_float, zero_draw_probability
 
 BITS_PER_BYTE_ON_WIRE = 10  # 8N1: start + 8 data + stop
 
@@ -54,15 +54,8 @@ class ChannelParams:
     noise_sigma: float = 1.0  # lux-equivalent RMS receiver noise, > 0
 
     def __post_init__(self) -> None:
-        values = (
-            self.source_lux,
-            self.clear_water_attenuation,
-            self.turbidity_slope,
-            self.ambient_lux,
-            self.noise_sigma,
-        )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("channel parameters must be finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_float(getattr(self, f.name), f.name))
         if self.source_lux <= 0:
             raise ValueError("source_lux must be > 0")
         if self.clear_water_attenuation < 0:
@@ -88,14 +81,15 @@ class LinkSpec:
     extra_loss: float = 1.0  # multiplicative factor in (0, 1]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance_m) and self.distance_m > 0):
-            raise ValueError("distance_m must be finite and > 0")
-        if not (math.isfinite(self.turbidity_ntu) and self.turbidity_ntu >= 0):
-            raise ValueError("turbidity_ntu must be finite and >= 0")
+        # Python floats; -0.0 NTU (clear water) as 0.0, so it prints as 0.
+        for name in ("distance_m", "turbidity_ntu", "extra_loss"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name) + 0.0)
+        if self.distance_m <= 0:
+            raise ValueError("distance_m must be > 0")
+        if self.turbidity_ntu < 0:
+            raise ValueError("turbidity_ntu must be >= 0")
         if not 0 < self.extra_loss <= 1:
             raise ValueError("extra_loss must be in (0, 1]")
-        # -0.0 NTU is clear water, stored as 0.0 so it prints as 0.
-        object.__setattr__(self, "turbidity_ntu", self.turbidity_ntu + 0.0)
 
 
 def q_function(x: float) -> float:
@@ -178,18 +172,19 @@ class CalibrationTarget:
     target_psr: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.turbidity_ntu) and self.turbidity_ntu >= 0):
-            raise ValueError("turbidity_ntu must be finite and >= 0")
-        if not (math.isfinite(self.total_distance_m) and self.total_distance_m > 0):
-            raise ValueError("total_distance_m must be finite and > 0")
+        # Python floats; -0.0 NTU (clear water) as 0.0, so it prints as 0.
+        for name in ("turbidity_ntu", "total_distance_m"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name) + 0.0)
+        if self.turbidity_ntu < 0:
+            raise ValueError("turbidity_ntu must be >= 0")
+        if self.total_distance_m <= 0:
+            raise ValueError("total_distance_m must be > 0")
         if isinstance(self.hop_count, bool) or not isinstance(self.hop_count, int):
             raise ValueError(f"hop_count must be an integer, got {self.hop_count!r}")
         if self.hop_count < 1:
             raise ValueError("hop_count must be >= 1")
         if not 0.0 < self.target_psr < 1.0:
             raise ValueError("target_psr must be in (0, 1)")
-        # -0.0 NTU is clear water, stored as 0.0 so it prints as 0.
-        object.__setattr__(self, "turbidity_ntu", self.turbidity_ntu + 0.0)
 
 
 class CalibrationDiverged(Exception):
@@ -317,8 +312,8 @@ def calibrate(
     `tolerance`, as for targets that need a negative coefficient, and
     ValueError unless `tolerance` is finite and >= 0.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if as_float(tolerance, "tolerance") < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     targets = tuple(
         t if isinstance(t, CalibrationTarget) else CalibrationTarget(*t)
         for t in targets

@@ -102,11 +102,12 @@ def _load_config(args) -> ScenarioConfig:
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config}: {exc}") from exc
     config = parse_config(text)
-    if args.seed is not None:
-        config = replace(config, sensor=replace(config.sensor, seed=args.seed))
-    if args.rounds is not None:
-        config = replace(config, rounds=args.rounds)
-    return config
+    seed = config.seed if args.seed is None else args.seed
+    rounds = config.rounds if args.rounds is None else args.rounds
+    try:
+        return replace(config, sensor=replace(config.sensor, seed=seed), rounds=rounds)
+    except ValidationError as exc:  # a flag's value: a usage error
+        raise UsageError(str(exc)) from None
 
 
 def _parse_turbidities(args, default=None) -> list[float]:

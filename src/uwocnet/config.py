@@ -6,6 +6,9 @@ ignored, keys use dotted section prefixes, and unknown or duplicate keys
 are rejected with the offending key name and line number.  Only
 ``topology.nodes`` is required; every other field has a documented
 default.
+
+parse_config only turns text into values; ScenarioConfig and the types it
+holds check them, for a config built or ``replace``d in code too.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from .channel import ChannelParams
 from .node import DEFAULT_BIT_RATE, SensorProfile, min_slot_duration, schedule
 from .rng import as_int
-from .sim import Topology, linear_topology
+from .sim import DEFAULT_LINK_DISTANCE_M, Topology, linear_topology
 
 
 class ParseError(Exception):
@@ -35,9 +38,10 @@ class ValidationError(Exception):
 DEFAULT_ROUNDS = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything one simulation run needs, as parsed from a config file."""
+    """Everything one simulation run needs, as parsed from a config file;
+    construction (``replace`` too) reports a bad value under its config key."""
 
     node_ids: tuple[int, ...]
     auth_keys: tuple[int, ...]
@@ -51,8 +55,32 @@ class ScenarioConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
+        args = (self.node_ids, self.auth_keys, self.link_distances_m)
+        try:
+            line = linear_topology(*args, 0.0, self.extra_loss)
+        except ValueError as exc:  # rebuilt key by key, to name the one at fault
+            _checked("topology.nodes", linear_topology, *args[:2])
+            _checked("topology.link_distances", linear_topology, *args)
+            raise ValidationError("topology.extra_loss", str(exc)) from None
+        ids = line.node_ids
+        _checked("channel.bit_rate", min_slot_duration, len(ids), self.bit_rate)
+        slot = self.slot_duration_s
+        if slot is not None:
+            _checked("traffic.slot_duration", schedule, ids, slot, 0, self.bit_rate)
+            slot = float(slot)
         if as_int(self.rounds, "rounds") < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValidationError("traffic.rounds", "rounds must be >= 1")
+        path = self.output_path  # parse_config reads it back as one stripped line
+        if len(str.splitlines(path)) != 1 or "#" in path or path != path.strip():
+            raise ValidationError("output.path", "must be one stripped line, no '#'")
+        self.__dict__.update(  # past frozen: the checked values, as tuples and floats
+            node_ids=ids,
+            auth_keys=line.auth_keys,
+            link_distances_m=tuple(link.distance_m for link in line.links),
+            extra_loss=tuple(link.extra_loss for link in line.links),
+            bit_rate=float(self.bit_rate),
+            slot_duration_s=slot,
+        )
 
     @property
     def seed(self) -> int:
@@ -108,7 +136,7 @@ def _checked(key: str, build, *args, **kwargs):
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a scenario config; each value is checked by the type that owns it."""
+    """Parse a scenario config; ScenarioConfig checks the values it gets."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -139,7 +167,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 lines[key], f"{key}: cannot parse {raw[key]!r} as {convert.__name__}"
             ) from None
 
-    def numbers(key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    def numbers(key: str, default):
         if key not in raw:
             return default
         try:
@@ -167,17 +195,6 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ParseError(
                 lines["topology.nodes"], f"bad node entry {part!r}"
             ) from None
-    # The line is built once per key, so its error names the key at fault;
-    # the defaults are linear_topology's.
-    nodes = (node_ids, auth_keys)
-    topo = _checked("topology.nodes", linear_topology, *nodes)
-    default = tuple(link.distance_m for link in topo.links)
-    distances = numbers("topology.link_distances", default)
-    topo = _checked("topology.link_distances", linear_topology, *nodes, distances)
-    default = tuple(link.extra_loss for link in topo.links)
-    losses = numbers("topology.extra_loss", default)
-    _checked("topology.extra_loss", linear_topology, *nodes, distances, 0.0, losses)
-
     channel = _checked(
         "channel",
         ChannelParams,
@@ -186,14 +203,6 @@ def parse_config(text: str) -> ScenarioConfig:
             for f in _CHANNEL_FIELDS
         },
     )
-    bit_rate = scalar("channel.bit_rate", float, DEFAULT_BIT_RATE)
-    _checked("channel.bit_rate", min_slot_duration, len(node_ids), bit_rate)
-
-    slot: float | None = None
-    if raw.get("traffic.slot_duration", "auto") != "auto":
-        slot = scalar("traffic.slot_duration", float, None)
-        _checked("traffic.slot_duration", schedule, node_ids, slot, 0, bit_rate)
-
     sensor = _checked(
         "sensor",
         SensorProfile,
@@ -203,16 +212,16 @@ def parse_config(text: str) -> ScenarioConfig:
             for f in _SENSOR_FIELDS
         },
     )
-
-    return _checked(
-        "traffic.rounds",
-        ScenarioConfig,
+    slot: float | None = None
+    if raw.get("traffic.slot_duration", "auto") != "auto":
+        slot = scalar("traffic.slot_duration", float, None)
+    return ScenarioConfig(
         node_ids=tuple(node_ids),
         auth_keys=tuple(auth_keys),
-        link_distances_m=distances,
-        extra_loss=losses,
+        link_distances_m=numbers("topology.link_distances", DEFAULT_LINK_DISTANCE_M),
+        extra_loss=numbers("topology.extra_loss", None),
         channel=channel,
-        bit_rate=bit_rate,
+        bit_rate=scalar("channel.bit_rate", float, DEFAULT_BIT_RATE),
         rounds=scalar("traffic.rounds", int, DEFAULT_ROUNDS),
         slot_duration_s=slot,
         sensor=sensor,
@@ -225,7 +234,7 @@ def _field_lines(section: str, section_fields, values) -> list[str]:
 
 
 def emit_config(config: ScenarioConfig) -> str:
-    """Serialize a config canonically; parse(emit(parse(t))) == parse(t)."""
+    """Serialize canonically: parse_config(emit_config(c)) == c for every config c."""
     nodes = ", ".join(
         f"{nid}:{key}" for nid, key in zip(config.node_ids, config.auth_keys)
     )

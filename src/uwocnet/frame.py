@@ -108,14 +108,14 @@ class DuplicateKey(FrameError):
 
 def validate_auth_key(value: int) -> int:
     """Check a key byte is in [1, 254]; 0x00/0xFF collide with framing."""
-    if not isinstance(value, int) or not KEY_MIN <= value <= KEY_MAX:
+    if type(value) is not int or not KEY_MIN <= value <= KEY_MAX:  # bool is no key
         raise ValueError(f"auth key must be an integer in [1, 254], got {value!r}")
     return value
 
 
 def validate_node_id(value: int) -> int:
     """Check a node id fits the record's one id byte, [0, 254]."""
-    if not isinstance(value, int) or not 0 <= value <= 254:
+    if type(value) is not int or not 0 <= value <= 254:  # bool is no id
         raise ValueError(f"node id must be an integer in [0, 254], got {value!r}")
     return value
 

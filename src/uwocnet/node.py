@@ -25,7 +25,7 @@ import numpy as np
 
 from . import frame as fr
 from .channel import BITS_PER_BYTE_ON_WIRE
-from .rng import Substream, derive_state, derive_states, seed_word, uniform_at
+from .rng import Substream, as_float, derive_state, derive_states, seed_word, uniform_at
 
 _SENSOR_STREAM_TAG = 0x5E_45_0001
 DEFAULT_BIT_RATE = 9600.0
@@ -83,9 +83,8 @@ class SensorProfile:
 
     def __post_init__(self) -> None:
         seed_word(self.seed)  # TypeError unless an integer (bool is not one)
-        values = (self.baseline_c, self.amplitude_c, self.period_s, self.noise_std_c)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("sensor profile values must be finite")
+        for name in ("baseline_c", "amplitude_c", "period_s", "noise_std_c"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.period_s <= 0:
             raise ValueError("period_s must be > 0")
         if self.noise_std_c < 0:
@@ -410,8 +409,8 @@ def schedule(
     ids = tuple(node_ids)
     if len(ids) < 2:
         raise ValueError("a schedule needs at least two nodes")
-    if not (math.isfinite(slot_duration) and slot_duration > 0):
-        raise ValueError("slot_duration must be finite and > 0")
+    if as_float(slot_duration, "slot_duration") <= 0:
+        raise ValueError("slot_duration must be > 0")
     needed = min_slot_duration(len(ids), bit_rate)
     if needed > slot_duration:
         raise SlotTooShort(
@@ -430,6 +429,6 @@ def schedule(
 
 def min_slot_duration(node_count: int, bit_rate: float = DEFAULT_BIT_RATE) -> float:
     """Smallest slot that passes the schedule() worst-case frame check."""
-    if not (math.isfinite(bit_rate) and bit_rate > 0):
-        raise ValueError("bit_rate must be finite and > 0")
+    if as_float(bit_rate, "bit_rate") <= 0:
+        raise ValueError("bit_rate must be > 0")
     return BITS_PER_BYTE_ON_WIRE * fr.worst_case_frame_length(node_count) / bit_rate

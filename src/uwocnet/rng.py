@@ -42,6 +42,15 @@ def as_int(value, name: str) -> int:
     return operator.index(value)
 
 
+def as_float(value, name: str) -> float:
+    """value as a finite Python float, numpy's too; bool, numpy's too, is not one."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, not bool {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 def seed_word(seed) -> int:
     """A seed or address word modulo 2**64: any integer, numpy's too."""
     return as_int(seed, "seed") & _MASK64

@@ -63,6 +63,7 @@ from .rng import (
     zero_draw_probability,
 )
 
+DEFAULT_LINK_DISTANCE_M = 4.0
 _LINK_STREAM_TAG = 0xC4A7_0001
 _SCENARIO_TAG = 0x5CEA_0001
 # (scenario, round, hop) cells per counting-engine block, one draw: bounds
@@ -126,7 +127,7 @@ class Topology:
 def linear_topology(
     node_ids,
     auth_keys=None,
-    link_distance_m=4.0,
+    link_distance_m=DEFAULT_LINK_DISTANCE_M,
     turbidity_ntu: float = 0.0,
     extra_loss=None,
 ) -> Topology:

@@ -1,8 +1,11 @@
 """Scenario config parsing, validation, defaults, and round-tripping."""
 
+import math
 import random
 from dataclasses import fields, replace
+from functools import partial
 
+import numpy as np
 import pytest
 
 from uwocnet.channel import ChannelParams
@@ -14,7 +17,7 @@ from uwocnet.config import (
     emit_config,
     parse_config,
 )
-from uwocnet.node import min_slot_duration
+from uwocnet.node import SensorProfile, min_slot_duration
 
 MINIMAL = "topology.nodes = 0:180, 1:170, 2:154, 3:140, 4:120\nseed = 7\n"
 
@@ -214,6 +217,100 @@ def test_roundtrip_200_randomized_configs():
         assert again == cfg
         # emit is canonical: emitting the reparse is byte-identical
         assert emit_config(again) == emit_config(cfg)
+
+
+THREE_NODES = "topology.nodes = 0:180, 1:170, 2:154\nseed = 3\n"
+
+# Edits of a parsed three-node config that emit_config cannot write as
+# given in a form parse_config reads back equal: construction must refuse
+# them or store them normalized.  A callable value is built inside the check.
+UNWRITABLE_AS_GIVEN = [
+    ("bit_rate", True),
+    ("slot_duration_s", True),
+    ("bit_rate", -1.0),
+    ("slot_duration_s", 1e-9),
+    ("node_ids", (0, 0, 1)),
+    ("node_ids", (True, 2, 3)),
+    ("node_ids", [0, 1, 2]),
+    ("link_distances_m", (4.0,)),
+    ("link_distances_m", 4.0),
+    ("extra_loss", (True, 1.0)),
+    ("channel", partial(ChannelParams, source_lux=True)),
+    ("sensor", partial(SensorProfile, baseline_c=True)),
+    ("output_path", "a#b"),
+    ("output_path", "a\nb"),
+    ("output_path", "a\rb"),
+    ("output_path", " a"),
+    ("output_path", ""),
+]
+# numpy floats, which repr writes as np.float64(...): they must be kept
+NUMPY_FLOATS = [
+    ("bit_rate", np.float64(9600.0)),
+    ("link_distances_m", (np.float64(3.5), 4.0)),
+    ("channel", partial(ChannelParams, source_lux=np.float64(900.0))),
+]
+# more values at and beyond each field's edges, for the seeded combinations
+EDGE_VALUES = UNWRITABLE_AS_GIVEN + NUMPY_FLOATS + [
+    ("bit_rate", 0.0),
+    ("bit_rate", math.nan),
+    ("bit_rate", 4800),
+    ("bit_rate", 1e-3),
+    ("slot_duration_s", None),
+    ("slot_duration_s", 0.5),
+    ("slot_duration_s", np.float64(0.25)),
+    ("slot_duration_s", math.inf),
+    ("node_ids", (0, 1)),
+    ("node_ids", (0, 1, 2, 3)),
+    ("node_ids", (0, 1, 255)),
+    ("node_ids", (np.int64(0), 1, 2)),
+    ("auth_keys", (True, 170, 154)),
+    ("auth_keys", (0, 170, 154)),
+    ("auth_keys", [181, 171, 155]),
+    ("link_distances_m", (3, 5)),
+    ("link_distances_m", (-1.0, 4.0)),
+    ("link_distances_m", (True, 4.0)),
+    ("link_distances_m", (4.0, 4.0, 4.0)),
+    ("extra_loss", None),
+    ("extra_loss", (0.5, np.float32(0.25))),
+    ("extra_loss", (1.5, 1.0)),
+    ("channel", partial(ChannelParams, noise_sigma=np.float32(2.5))),
+    ("channel", partial(ChannelParams, ambient_lux=math.nan)),
+    ("sensor", partial(SensorProfile, baseline_c=np.float64(21.5), seed=np.int64(5))),
+    ("sensor", partial(SensorProfile, period_s=0)),
+    ("rounds", 0),
+    ("rounds", True),
+    ("rounds", np.int64(7)),
+    ("output_path", "a "),
+    ("output_path", "a\u2028b"),
+    ("output_path", "dir/x y=1.csv"),
+]
+
+
+def edited(config, edits):
+    """config with edits applied, or None if construction refused them."""
+    try:
+        return replace(config, **{name: v() if callable(v) else v for name, v in edits})
+    except (ValidationError, ValueError, TypeError):
+        return None
+
+
+def test_every_config_the_type_accepts_round_trips():
+    base = parse_config(THREE_NODES)
+    rng = random.Random(2611)
+    grid = [[edit] for edit in EDGE_VALUES]
+    grid += [rng.sample(EDGE_VALUES, rng.randint(2, 4)) for _ in range(400)]
+    accepted = 0
+    for edits in grid:
+        config = edited(base, edits)
+        if config is not None:
+            accepted += 1
+            assert parse_config(emit_config(config)) == config, edits
+    assert 20 < accepted < len(grid) // 2
+    # bools for numbers raise, numpy's too; numpy floats are kept, as Python floats
+    for edit in [("bit_rate", True), ("slot_duration_s", True), ("bit_rate", np.True_)]:
+        assert edited(base, [edit]) is None, edit
+    for edit in NUMPY_FLOATS:
+        assert edited(base, [edit]) is not None, edit
 
 
 def test_topology_builder_applies_per_link_distances():

@@ -145,6 +145,8 @@ def test_record_node_id_validated():
         SensorRecord(255, 20.0)
     with pytest.raises(ValueError):
         SensorRecord(-1, 20.0)
+    with pytest.raises(ValueError):
+        SensorRecord(True, 20.0)  # bool is no id, though isinstance(True, int)
 
 
 # --- encode ------------------------------------------------------------------
@@ -178,6 +180,8 @@ def test_frame_validation():
         Frame((0,))
     with pytest.raises(ValueError):
         Frame((255,))
+    with pytest.raises(ValueError):
+        Frame((True,))  # bool is no key, though isinstance(True, int)
 
 
 # --- decode ------------------------------------------------------------------

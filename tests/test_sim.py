@@ -274,6 +274,13 @@ def test_run_scenario_validation():
     ]:
         with pytest.raises(TypeError, match=message):
             run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, workers=workers)
+    # a slot and a bit rate are numbers, and bool is not one
+    for keyword in ("slot_duration", "bit_rate"):
+        bad = {keyword: True}
+        with pytest.raises(TypeError, match=f"{keyword} .* bool True"):
+            run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, **bad)
+        with pytest.raises(TypeError, match=f"{keyword} .* bool True"):
+            sweep(linear_topology(range(3)), CLEAN, [0.01], 10, seed=0, **bad)
 
 
 def test_monitor_sampled_only_when_requested():
