@@ -38,7 +38,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import frame as fr
-from .rng import as_float, zero_draw_probability
+from .rng import as_float, as_int, zero_draw_probability
 
 BITS_PER_BYTE_ON_WIRE = 10  # 8N1: start + 8 data + stop
 
@@ -179,8 +179,7 @@ class CalibrationTarget:
             raise ValueError("turbidity_ntu must be >= 0")
         if self.total_distance_m <= 0:
             raise ValueError("total_distance_m must be > 0")
-        if isinstance(self.hop_count, bool) or not isinstance(self.hop_count, int):
-            raise ValueError(f"hop_count must be an integer, got {self.hop_count!r}")
+        object.__setattr__(self, "hop_count", as_int(self.hop_count, "hop_count"))
         if self.hop_count < 1:
             raise ValueError("hop_count must be >= 1")
         if not 0.0 < self.target_psr < 1.0:

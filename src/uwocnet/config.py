@@ -55,6 +55,9 @@ class ScenarioConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
+        for key, kind in (("channel", ChannelParams), ("sensor", SensorProfile)):
+            if not isinstance(getattr(self, key), kind):
+                raise ValidationError(key, f"must be a {kind.__name__}")
         args = (self.node_ids, self.auth_keys, self.link_distances_m)
         try:
             line = linear_topology(*args, 0.0, self.extra_loss)

@@ -7,6 +7,7 @@ from decimal import Decimal, getcontext
 from statistics import NormalDist
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from uwocnet.channel import (
@@ -322,11 +323,14 @@ def test_calibrate_input_validation():
         calibrate([CalibrationTarget(5.0, 16.0, 4, 0.9)])
     with pytest.raises(ValueError):
         calibrate(PAPER_TARGETS, fixed={"no_such_param": 1.0})
-    # a hop count that is no integer is refused by the target, not the fit
-    with pytest.raises(ValueError, match="hop_count"):
+    # a hop count that is no integer is refused by the target, not the fit,
+    # with the one integer rule; numpy's integers are integers
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         calibrate([(0.01, 16, 2.5, 0.95), (70, 16, 4, 0.89)])
-    with pytest.raises(ValueError, match="hop_count"):
+    with pytest.raises(TypeError, match="hop_count"):
         calibrate([(0.01, 4.0, True, 0.97)])  # not one hop
+    hops = CalibrationTarget(0.01, 16.0, np.int64(4), 0.95).hop_count
+    assert hops == 4 and type(hops) is int
     with pytest.raises(ValueError, match="hop_count must be >= 1"):
         CalibrationTarget(0.01, 16.0, 0, 0.95)
     for psr in (0.0, 1.0):

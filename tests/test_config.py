@@ -277,6 +277,8 @@ EDGE_VALUES = UNWRITABLE_AS_GIVEN + NUMPY_FLOATS + [
     ("channel", partial(ChannelParams, ambient_lux=math.nan)),
     ("sensor", partial(SensorProfile, baseline_c=np.float64(21.5), seed=np.int64(5))),
     ("sensor", partial(SensorProfile, period_s=0)),
+    ("channel", None),
+    ("sensor", None),
     ("rounds", 0),
     ("rounds", True),
     ("rounds", np.int64(7)),
@@ -306,8 +308,11 @@ def test_every_config_the_type_accepts_round_trips():
             accepted += 1
             assert parse_config(emit_config(config)) == config, edits
     assert 20 < accepted < len(grid) // 2
-    # bools for numbers raise, numpy's too; numpy floats are kept, as Python floats
-    for edit in [("bit_rate", True), ("slot_duration_s", True), ("bit_rate", np.True_)]:
+    # bools for numbers raise, numpy's too, and so does a missing channel or
+    # sensor; numpy floats are kept, as Python floats
+    refused = [("bit_rate", True), ("slot_duration_s", True), ("bit_rate", np.True_),
+               ("channel", None), ("sensor", None)]
+    for edit in refused:
         assert edited(base, [edit]) is None, edit
     for edit in NUMPY_FLOATS:
         assert edited(base, [edit]) is not None, edit
