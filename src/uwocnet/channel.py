@@ -50,7 +50,7 @@ class ChannelParams:
     source_lux: float = 1000.0  # intensity at the transmitter aperture, > 0
     clear_water_attenuation: float = 0.05  # 1/m, >= 0
     turbidity_slope: float = 0.005  # 1/(m*NTU), >= 0
-    ambient_lux: float = 100.0  # background light, [0, 10000]
+    ambient_lux: float = 100.0  # background light, [0, 10000]; cancels out of BER
     noise_sigma: float = 1.0  # lux-equivalent RMS receiver noise, > 0
 
     def __post_init__(self) -> None:

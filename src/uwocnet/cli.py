@@ -180,15 +180,10 @@ def cmd_calibrate(config: ScenarioConfig, args) -> CommandOutput:
     return default, emit_config(replace(config, channel=fitted)), summary
 
 
-def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
-    turbidities = _parse_turbidities(args)
-    label = args.label or Path(args.config).stem
-    if any(c in label for c in ',"\r\n'):
-        raise UsageError(
-            f"CSV label {label!r} has a comma, quote or line break; set --label"
-        )
-    reports = sweep(
-        config.topology(),
+def _sweep(config: ScenarioConfig, turbidities, collect_monitor=False):
+    """sweep of the config's line at each turbidity, with its other values."""
+    return sweep(
+        config.line,
         config.channel,
         turbidities,
         config.rounds,
@@ -196,7 +191,18 @@ def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
         slot_duration=config.slot_duration(),
         bit_rate=config.bit_rate,
         profile=config.sensor,
+        collect_monitor=collect_monitor,
     )
+
+
+def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
+    turbidities = _parse_turbidities(args)
+    label = args.label or Path(args.config).stem
+    if any(c in label for c in ',"\r\n'):
+        raise UsageError(
+            f"CSV label {label!r} has a comma, quote or line break; set --label"
+        )
+    reports = _sweep(config, turbidities)
     csv_text = render_psr_csv(reports, label)
     hops = len(reports[0].hops)
     summary = [f"{'turbidity_ntu':>13}  {'final_hop':>9}  {'cumulative_psr':>14}"]
@@ -212,17 +218,7 @@ def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     turbidity, *rest = _parse_turbidities(args, default=[0.01])
     if rest:
         raise UsageError(f"monitor takes one --turbidity value: {args.turbidity!r}")
-    (report,) = sweep(
-        config.topology(),
-        config.channel,
-        [turbidity],
-        config.rounds,
-        config.seed,
-        slot_duration=config.slot_duration(),
-        bit_rate=config.bit_rate,
-        profile=config.sensor,
-        collect_monitor=True,
-    )
+    (report,) = _sweep(config, [turbidity], collect_monitor=True)
     delivered = len(report.monitor_log[0])
     summary = [
         f"{delivered} of {config.rounds} rounds delivered "

@@ -7,13 +7,16 @@ are rejected with the offending key name and line number.  Only
 ``topology.nodes`` is required; every other field has a documented
 default.
 
-parse_config only turns text into values; ScenarioConfig and the types it
-holds check them, for a config built or ``replace``d in code too.
+parse_config turns text into values and builds the relay line from the
+topology keys, naming the key at fault.  ScenarioConfig and the types it
+holds check every value, for a config built or ``replace``d in code too:
+``ScenarioConfig(line=linear_topology(...), channel=ChannelParams(...))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .channel import ChannelParams
 from .node import DEFAULT_BIT_RATE, SensorProfile, min_slot_duration, schedule
@@ -41,12 +44,12 @@ DEFAULT_ROUNDS = 1000
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one simulation run needs, as parsed from a config file;
-    construction (``replace`` too) reports a bad value under its config key."""
+    construction (``replace`` too) reports a bad value under its config key.
 
-    node_ids: tuple[int, ...]
-    auth_keys: tuple[int, ...]
-    link_distances_m: tuple[float, ...]
-    extra_loss: tuple[float, ...]
+    ``line`` is the relay line in clear water: no config key holds a
+    turbidity, so ``topology(t)`` sets it."""
+
+    line: Topology
     channel: ChannelParams
     bit_rate: float = DEFAULT_BIT_RATE
     rounds: int = DEFAULT_ROUNDS
@@ -55,17 +58,16 @@ class ScenarioConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self) -> None:
-        for key, kind in (("channel", ChannelParams), ("sensor", SensorProfile)):
-            if not isinstance(getattr(self, key), kind):
+        for key, value, kind in (
+            ("channel", self.channel, ChannelParams),
+            ("sensor", self.sensor, SensorProfile),
+            ("topology", self.line, Topology),
+        ):
+            if not isinstance(value, kind):
                 raise ValidationError(key, f"must be a {kind.__name__}")
-        args = (self.node_ids, self.auth_keys, self.link_distances_m)
-        try:
-            line = linear_topology(*args, 0.0, self.extra_loss)
-        except ValueError as exc:  # rebuilt key by key, to name the one at fault
-            _checked("topology.nodes", linear_topology, *args[:2])
-            _checked("topology.link_distances", linear_topology, *args)
-            raise ValidationError("topology.extra_loss", str(exc)) from None
-        ids = line.node_ids
+        if any(link.turbidity_ntu for link in self.line.links):
+            raise ValidationError("topology", "every link must be at 0 NTU")
+        ids = self.line.node_ids
         _checked("channel.bit_rate", min_slot_duration, len(ids), self.bit_rate)
         slot = self.slot_duration_s
         if slot is not None:
@@ -76,33 +78,27 @@ class ScenarioConfig:
         path = self.output_path  # parse_config reads it back as one stripped line
         if len(str.splitlines(path)) != 1 or "#" in path or path != path.strip():
             raise ValidationError("output.path", "must be one stripped line, no '#'")
-        self.__dict__.update(  # past frozen: the checked values, as tuples and floats
-            node_ids=ids,
-            auth_keys=line.auth_keys,
-            link_distances_m=tuple(link.distance_m for link in line.links),
-            extra_loss=tuple(link.extra_loss for link in line.links),
-            bit_rate=float(self.bit_rate),
-            slot_duration_s=slot,
-        )
+        # past frozen: the checked numbers as Python floats
+        self.__dict__.update(bit_rate=float(self.bit_rate), slot_duration_s=slot)
 
     @property
     def seed(self) -> int:
         """The root seed: the `seed` key, held by the sensor profile."""
         return self.sensor.seed
 
+    # read-only views of the line, one value per node or per link
+    node_ids = property(attrgetter("line.node_ids"))
+    auth_keys = property(attrgetter("line.auth_keys"))
+    link_distances_m = property(lambda self: tuple(l.distance_m for l in self.line.links))
+    extra_loss = property(lambda self: tuple(l.extra_loss for l in self.line.links))
+
     def topology(self, turbidity_ntu: float = 0.0) -> Topology:
-        return linear_topology(
-            self.node_ids,
-            self.auth_keys,
-            self.link_distances_m,
-            turbidity_ntu,
-            self.extra_loss,
-        )
+        return self.line.with_turbidity(turbidity_ntu)
 
     def slot_duration(self) -> float:
         if self.slot_duration_s is not None:
             return self.slot_duration_s
-        return min_slot_duration(len(self.node_ids), self.bit_rate)
+        return min_slot_duration(len(self.line.node_ids), self.bit_rate)
 
 
 # One channel.* and one sensor.* key per dataclass field, in file order; the
@@ -139,7 +135,7 @@ def _checked(key: str, build, *args, **kwargs):
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a scenario config; ScenarioConfig checks the values it gets."""
+    """Parse a scenario config; the types it builds check the values."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -218,18 +214,19 @@ def parse_config(text: str) -> ScenarioConfig:
     slot: float | None = None
     if raw.get("traffic.slot_duration", "auto") != "auto":
         slot = scalar("traffic.slot_duration", float, None)
-    return ScenarioConfig(
-        node_ids=tuple(node_ids),
-        auth_keys=tuple(auth_keys),
-        link_distances_m=numbers("topology.link_distances", DEFAULT_LINK_DISTANCE_M),
-        extra_loss=numbers("topology.extra_loss", None),
-        channel=channel,
-        bit_rate=scalar("channel.bit_rate", float, DEFAULT_BIT_RATE),
-        rounds=scalar("traffic.rounds", int, DEFAULT_ROUNDS),
-        slot_duration_s=slot,
-        sensor=sensor,
-        output_path=raw.get("output.path", "results.csv"),
-    )
+    distances = numbers("topology.link_distances", DEFAULT_LINK_DISTANCE_M)
+    losses = numbers("topology.extra_loss", None)
+    bit_rate = scalar("channel.bit_rate", float, DEFAULT_BIT_RATE)
+    rounds = scalar("traffic.rounds", int, DEFAULT_ROUNDS)
+    args = (node_ids, auth_keys, distances)
+    try:
+        line = linear_topology(*args, 0.0, losses)
+    except ValueError as exc:  # rebuilt key by key, to name the one at fault
+        _checked("topology.nodes", linear_topology, *args[:2])
+        _checked("topology.link_distances", linear_topology, *args)
+        raise ValidationError("topology.extra_loss", str(exc)) from None
+    path = raw.get("output.path", "results.csv")
+    return ScenarioConfig(line, channel, bit_rate, rounds, slot, sensor, path)
 
 
 def _field_lines(section: str, section_fields, values) -> list[str]:

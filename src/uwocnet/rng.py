@@ -39,7 +39,10 @@ def as_int(value, name: str) -> int:
     """value as a Python int: any integer, numpy's too; bool is not one."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, not bool {value!r}")
-    return operator.index(value)
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise TypeError(f"{name}: {exc}") from None
 
 
 def as_float(value, name: str) -> float:

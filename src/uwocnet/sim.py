@@ -85,6 +85,8 @@ class Topology:
     links: tuple[LinkSpec, ...]
 
     def __post_init__(self) -> None:
+        for name in ("node_ids", "auth_keys", "links"):  # lists too, held as tuples
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.node_ids) < 2:
             raise ValueError("a topology needs at least two nodes")
         if len(self.auth_keys) != len(self.node_ids):

@@ -324,8 +324,10 @@ def test_calibrate_input_validation():
     with pytest.raises(ValueError):
         calibrate(PAPER_TARGETS, fixed={"no_such_param": 1.0})
     # a hop count that is no integer is refused by the target, not the fit,
-    # with the one integer rule; numpy's integers are integers
+    # with the one integer rule, which names it; numpy's integers are integers
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        calibrate([(0.01, 16, 2.5, 0.95), (70, 16, 4, 0.89)])
+    with pytest.raises(TypeError, match="^hop_count: 'float' object cannot"):
         calibrate([(0.01, 16, 2.5, 0.95), (70, 16, 4, 0.89)])
     with pytest.raises(TypeError, match="hop_count"):
         calibrate([(0.01, 4.0, True, 0.97)])  # not one hop

@@ -384,6 +384,26 @@ def test_sweep_seed_flag_changes_output(lossy_cfg, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_ambient_light_changes_no_output(tmp_path):
+    # the threshold sits midway between mark (ambient + rx) and space
+    # (ambient), so BER, and every CSV byte, depend on rx / sigma alone
+    runs = {"sweep": "0.01,70", "monitor": "70"}
+    outputs = []
+    for ambient in ("0", "10000"):
+        config = tmp_path / f"ambient_{ambient}.cfg"
+        config.write_text(LOSSY_CONFIG + f"channel.ambient_lux = {ambient}\n")
+        for command, turbidity in runs.items():
+            out = tmp_path / f"{command}_{ambient}.csv"
+            argv = [command, "--config", str(config), "--turbidity", turbidity,
+                    "--rounds", "200", "--out", str(out)]
+            if command == "sweep":
+                argv += ["--label", "lossy"]  # not the config's file name
+            assert main(argv) == EXIT_OK
+            outputs.append(out.read_text())
+    assert outputs[:2] == outputs[2:]
+    assert outputs[1].count("\n") < 201  # 70 NTU drops rounds: the BER counts
+
+
 @pytest.mark.parametrize("command", ["sweep", "monitor"])
 def test_negative_zero_turbidity_is_zero(command, lossy_cfg, tmp_path, capsys):
     # -0 is the value 0: the same seed, printed as 0, so the same bytes

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from uwocnet.channel import ChannelParams
+from uwocnet.channel import ChannelParams, LinkSpec
 from uwocnet.config import (
     DEFAULT_BIT_RATE,
     ParseError,
@@ -18,6 +18,7 @@ from uwocnet.config import (
     parse_config,
 )
 from uwocnet.node import SensorProfile, min_slot_duration
+from uwocnet.sim import Topology, linear_topology
 
 MINIMAL = "topology.nodes = 0:180, 1:170, 2:154, 3:140, 4:120\nseed = 7\n"
 
@@ -220,6 +221,8 @@ def test_roundtrip_200_randomized_configs():
 
 
 THREE_NODES = "topology.nodes = 0:180, 1:170, 2:154\nseed = 3\n"
+# THREE_NODES's line; a line edit overrides one of its arguments
+LINE = partial(linear_topology, node_ids=(0, 1, 2), auth_keys=(180, 170, 154))
 
 # Edits of a parsed three-node config that emit_config cannot write as
 # given in a form parse_config reads back equal: construction must refuse
@@ -229,12 +232,12 @@ UNWRITABLE_AS_GIVEN = [
     ("slot_duration_s", True),
     ("bit_rate", -1.0),
     ("slot_duration_s", 1e-9),
-    ("node_ids", (0, 0, 1)),
-    ("node_ids", (True, 2, 3)),
-    ("node_ids", [0, 1, 2]),
-    ("link_distances_m", (4.0,)),
-    ("link_distances_m", 4.0),
-    ("extra_loss", (True, 1.0)),
+    ("line", partial(LINE, node_ids=(0, 0, 1))),
+    ("line", partial(LINE, node_ids=(True, 2, 3))),
+    ("line", partial(LINE, node_ids=[0, 1, 2])),
+    ("line", partial(LINE, link_distance_m=(4.0,))),
+    ("line", partial(LINE, link_distance_m=4.0)),
+    ("line", partial(LINE, extra_loss=(True, 1.0))),
     ("channel", partial(ChannelParams, source_lux=True)),
     ("sensor", partial(SensorProfile, baseline_c=True)),
     ("output_path", "a#b"),
@@ -246,7 +249,7 @@ UNWRITABLE_AS_GIVEN = [
 # numpy floats, which repr writes as np.float64(...): they must be kept
 NUMPY_FLOATS = [
     ("bit_rate", np.float64(9600.0)),
-    ("link_distances_m", (np.float64(3.5), 4.0)),
+    ("line", partial(LINE, link_distance_m=(np.float64(3.5), 4.0))),
     ("channel", partial(ChannelParams, source_lux=np.float64(900.0))),
 ]
 # more values at and beyond each field's edges, for the seeded combinations
@@ -259,20 +262,23 @@ EDGE_VALUES = UNWRITABLE_AS_GIVEN + NUMPY_FLOATS + [
     ("slot_duration_s", 0.5),
     ("slot_duration_s", np.float64(0.25)),
     ("slot_duration_s", math.inf),
-    ("node_ids", (0, 1)),
-    ("node_ids", (0, 1, 2, 3)),
-    ("node_ids", (0, 1, 255)),
-    ("node_ids", (np.int64(0), 1, 2)),
-    ("auth_keys", (True, 170, 154)),
-    ("auth_keys", (0, 170, 154)),
-    ("auth_keys", [181, 171, 155]),
-    ("link_distances_m", (3, 5)),
-    ("link_distances_m", (-1.0, 4.0)),
-    ("link_distances_m", (True, 4.0)),
-    ("link_distances_m", (4.0, 4.0, 4.0)),
-    ("extra_loss", None),
-    ("extra_loss", (0.5, np.float32(0.25))),
-    ("extra_loss", (1.5, 1.0)),
+    ("line", partial(LINE, node_ids=(0, 1))),
+    ("line", partial(LINE, node_ids=(0, 1, 2, 3))),
+    ("line", partial(LINE, node_ids=(0, 1, 255))),
+    ("line", partial(LINE, node_ids=(np.int64(0), 1, 2))),
+    ("line", partial(LINE, auth_keys=(True, 170, 154))),
+    ("line", partial(LINE, auth_keys=(0, 170, 154))),
+    ("line", partial(LINE, auth_keys=[181, 171, 155])),
+    ("line", partial(LINE, link_distance_m=(3, 5))),
+    ("line", partial(LINE, link_distance_m=(-1.0, 4.0))),
+    ("line", partial(LINE, link_distance_m=(True, 4.0))),
+    ("line", partial(LINE, link_distance_m=(4.0, 4.0, 4.0))),
+    ("line", partial(LINE, extra_loss=None)),
+    ("line", partial(LINE, extra_loss=(0.5, np.float32(0.25)))),
+    ("line", partial(LINE, extra_loss=(1.5, 1.0))),
+    ("line", partial(Topology, [0, 1, 2], [180, 170, 154], [LinkSpec(4.0)] * 2)),
+    ("line", partial(LINE, turbidity_ntu=70.0)),
+    ("line", None),
     ("channel", partial(ChannelParams, noise_sigma=np.float32(2.5))),
     ("channel", partial(ChannelParams, ambient_lux=math.nan)),
     ("sensor", partial(SensorProfile, baseline_c=np.float64(21.5), seed=np.int64(5))),
@@ -308,14 +314,34 @@ def test_every_config_the_type_accepts_round_trips():
             accepted += 1
             assert parse_config(emit_config(config)) == config, edits
     assert 20 < accepted < len(grid) // 2
-    # bools for numbers raise, numpy's too, and so does a missing channel or
-    # sensor; numpy floats are kept, as Python floats
+    # bools for numbers raise, numpy's too, and so does a missing line,
+    # channel or sensor, or a line in turbid water; numpy floats are kept, as
+    # Python floats
     refused = [("bit_rate", True), ("slot_duration_s", True), ("bit_rate", np.True_),
-               ("channel", None), ("sensor", None)]
+               ("channel", None), ("sensor", None), ("line", None),
+               ("line", partial(LINE, turbidity_ntu=70.0))]
     for edit in refused:
         assert edited(base, [edit]) is None, edit
     for edit in NUMPY_FLOATS:
         assert edited(base, [edit]) is not None, edit
+
+
+def test_the_line_is_a_topology_in_clear_water():
+    # no config key holds a turbidity: topology(t) sets it on the held line
+    base = parse_config(THREE_NODES)
+    assert [f.name for f in fields(ScenarioConfig)] == [
+        "line", "channel", "bit_rate", "rounds", "slot_duration_s", "sensor", "output_path"
+    ]
+    assert base.line == LINE() and base.topology(70.0) == LINE(turbidity_ntu=70.0)
+    for line in (None, LINE(turbidity_ntu=70.0)):
+        with pytest.raises(ValidationError) as exc:
+            replace(base, line=line)
+        assert exc.value.field == "topology"
+    with pytest.raises(TypeError, match="node_ids"):  # a view, not a field
+        replace(base, node_ids=(0, 1, 2))
+    # a Topology built from lists holds tuples, as linear_topology's does
+    listed = Topology([0, 1, 2], [180, 170, 154], [LinkSpec(4.0)] * 2)
+    assert replace(base, line=listed) == base
 
 
 def test_topology_builder_applies_per_link_distances():

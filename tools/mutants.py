@@ -43,6 +43,7 @@ SIM = "src/uwocnet/sim.py"
 NODE = "src/uwocnet/node.py"
 FRAME = "src/uwocnet/frame.py"
 CHANNEL = "src/uwocnet/channel.py"
+CONFIG = "src/uwocnet/config.py"
 
 # (name, file, exact old text, new text, PR that introduced the mutant)
 MUTANTS = [
@@ -85,6 +86,10 @@ MUTANTS = [
      "for h in range(1, len(hop)):", "for h in range(2, len(hop)):", 25),
     ("sink_time_late", SIM,
      "times = clocks[done, -1]", "times = clocks[done, -1] + 1e-9", 25),
+    ("distance_under_nodes", CONFIG,
+     '_checked("topology.link_distances"', '_checked("topology.nodes"', 28),
+    ("turbid_line_accepted", CONFIG,
+     "if any(link.turbidity_ntu for link in self.line.links):", "if False:", 28),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
