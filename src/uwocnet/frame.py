@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import as_int
+
 HEADER_BYTE = 0xFF
 SYNC_BYTE = 0x50
 END_BYTE = 0x00
@@ -106,18 +108,22 @@ class DuplicateKey(FrameError):
     pass
 
 
-def validate_auth_key(value: int) -> int:
-    """Check a key byte is in [1, 254]; 0x00/0xFF collide with framing."""
-    if type(value) is not int or not KEY_MIN <= value <= KEY_MAX:  # bool is no key
+def validate_auth_key(value) -> int:
+    """A key byte as a Python int (rng.as_int), checked to be in [1, 254]:
+    0x00/0xFF collide with framing."""
+    key = value if type(value) is int else as_int(value, "auth key")  # fast path
+    if not KEY_MIN <= key <= KEY_MAX:
         raise ValueError(f"auth key must be an integer in [1, 254], got {value!r}")
-    return value
+    return key
 
 
-def validate_node_id(value: int) -> int:
-    """Check a node id fits the record's one id byte, [0, 254]."""
-    if type(value) is not int or not 0 <= value <= 254:  # bool is no id
+def validate_node_id(value) -> int:
+    """A node id as a Python int (rng.as_int), checked to fit the record's
+    one id byte, [0, 254]."""
+    node_id = value if type(value) is int else as_int(value, "node id")  # fast path
+    if not 0 <= node_id <= 254:
         raise ValueError(f"node id must be an integer in [0, 254], got {value!r}")
-    return value
+    return node_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +134,7 @@ class SensorRecord:
     temperature_c: float
 
     def __post_init__(self) -> None:
-        validate_node_id(self.node_id)
+        object.__setattr__(self, "node_id", validate_node_id(self.node_id))
 
 
 def fixed_point(temperature_c):
@@ -171,12 +177,11 @@ class Frame:
     records: tuple[SensorRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key_chain", tuple(self.key_chain))
+        keys = tuple(map(validate_auth_key, self.key_chain))
+        object.__setattr__(self, "key_chain", keys)
         object.__setattr__(self, "records", tuple(self.records))
         if len(self.key_chain) < 1:
             raise ValueError("frame needs at least one authentication key")
-        for key in self.key_chain:
-            validate_auth_key(key)
 
 
 def record_length(node_id, raw):
@@ -256,11 +261,9 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
     BadPayloadLength or RecordOutOfRange (a record no encoder writes: id
     0xFF, or raw above 32000).
     """
-    expected = tuple(expected_keys)
+    expected = tuple(map(validate_auth_key, expected_keys))
     if len(expected) < 1:
         raise ValueError("expected_keys must name at least one key")
-    for key in expected:
-        validate_auth_key(key)
     if len(data) < 2 or data[0] != HEADER_BYTE or data[1] != SYNC_BYTE:
         got = bytes(data[:2]).hex() if len(data) >= 2 else bytes(data).hex()
         raise BadHeader(f"frame must start ff 50, got {got or '<empty>'}")

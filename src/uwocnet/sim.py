@@ -10,24 +10,25 @@ A Topology is the line's node ids, keys and links in order; a node's role
 and the key chain it expects follow from its position, and
 Topology.node_states is the one place that derives them.
 
-Two engines give identical results: per scenario, the counts per hop and the
-sink's log as columns.  The reference engine steps every node's state
-machine through every round.  The counting engine, which serves every run,
-computes a block of rounds at once in numpy: each transmitter's sensor
-reading, hence each hop's frame length (by frame.hop_frame_lengths, the
-closed form's formula), and each hop's zero-flip test, one link substream
-word per 1024-bit chunk, against a threshold looked up by (escape bytes,
-hop).  It draws the same words as the reference engine, so its counts are
-exact, not statistical.  A round reaches the monitor only when every hop
-drew zero flips, so the sink decodes exactly the records that were encoded:
-its log row is the transmitters' readings at wire resolution plus the sink's
-own reading, built per block from the same readings; the sink's noise words
-are drawn per block too, and only libm's sin/log/cos run per row.  The
-reference engine is the differential oracle of the tests and, on every pass,
-a canary: the counting engine replays its first round once for all
-scenarios, each scenario's link stream prefix folded once per call, and
-raises RuntimeError unless its own result for that round equals the
-replay's.
+Two engines give identical results: per scenario, each hop's delivered frames
+and bytes sent, and the sink's log as columns (a hop carries what the hop
+before it delivered, which the reports take as its frame count).  The
+reference engine steps every node's state machine through every round.  The
+counting engine, which serves every run, computes a block of rounds at once
+in numpy: each transmitter's sensor reading, hence each hop's frame length
+(by frame.hop_frame_lengths, the closed form's formula), and each hop's
+zero-flip test, one link substream word per 1024-bit chunk, against a
+threshold looked up by (escape bytes, hop).  It draws the same words as the
+reference engine, so its counts are exact, not statistical.  A round reaches
+the monitor only when every hop drew zero flips, so the sink decodes exactly
+the records that were encoded: its log row is the transmitters' readings at
+wire resolution plus the sink's own reading, built per block from the same
+readings; the sink's noise words are drawn per block too, and only libm's
+sin/log/cos run per row.  The reference engine is the differential oracle of
+the tests and, on every pass, a canary: the counting engine replays its first
+round once for all scenarios, each scenario's link stream prefix folded once
+per call, and raises RuntimeError unless its own result for that round equals
+the replay's.
 
 A run is one pass in this process, in blocks of rounds whose size depends
 only on the line's length and the number of turbidities.  Only
@@ -93,9 +94,12 @@ class Topology:
             raise ValueError("need one auth key per node")
         if len(self.links) != len(self.node_ids) - 1:
             raise ValueError("need exactly one link between consecutive nodes")
-        for nid, key in zip(self.node_ids, self.auth_keys):
-            fr.validate_node_id(nid)
-            fr.validate_auth_key(key)
+        if not all(isinstance(link, LinkSpec) for link in self.links):
+            raise TypeError(f"topology links must be LinkSpecs, got {self.links!r}")
+        pairs = [(fr.validate_node_id(nid), fr.validate_auth_key(key))
+                 for nid, key in zip(self.node_ids, self.auth_keys)]
+        object.__setattr__(self, "node_ids", tuple(nid for nid, _ in pairs))
+        object.__setattr__(self, "auth_keys", tuple(key for _, key in pairs))
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ValueError("node ids must be distinct")
         if len(set(self.auth_keys)) != len(self.auth_keys):
@@ -162,7 +166,7 @@ class HopStats:
 
     hop_index: int
     link_distance_m: float
-    packets_attempted: int
+    packets_attempted: int  # the rounds on hop 0, else hop h - 1's delivered
     packets_delivered: int
     per_hop_psr: float  # conditional on intact arrival at the transmitter
     cumulative_psr: float  # fraction of originated packets intact after this hop
@@ -229,10 +233,10 @@ def _simulate_rounds(
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool,
-) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
+) -> list[tuple[list[int], list[int], list[list] | None]]:
     """Simulate rounds [first_round, last_round) of each (topology, seed) of
-    scenarios (same node ids and keys); returns each one's attempted,
-    delivered and frame bytes sent per hop, and monitor_log or None.  node.step
+    scenarios (same node ids and keys); returns each one's delivered frames
+    and frame bytes sent per hop, and monitor_log or None.  node.step
     never sees the channel, so the scenarios live at a hop share its node
     states and frame: the nodes step once for all of them."""
     # NodeStates are immutable values: every round starts from the same
@@ -240,7 +244,7 @@ def _simulate_rounds(
     template = scenarios[0][0].node_states(profile)
     hops, width = len(template) - 1, len(template) + 2  # width: log columns
     runs = [(t.links, derive_state(s, _LINK_STREAM_TAG), [0] * hops, [0] * hops,
-             [0] * hops, [[] for _ in range(width)] if collect_monitor else None)
+             [[] for _ in range(width)] if collect_monitor else None)
             for t, s in scenarios]
 
     for rnd in range(first_round, last_round):
@@ -260,8 +264,7 @@ def _simulate_rounds(
                 )
             arrived = []
             for run in live:
-                links, prefix, attempted, delivered, frame_bytes_sum, _ = run
-                attempted[h] += 1
+                links, prefix, delivered, frame_bytes_sum, _ = run
                 frame_bytes_sum[h] += len(data)
                 stream = Substream(prefix, rnd, h)
                 rx_data, corrupted = transmit_over_link(data, links[h], params, stream)
@@ -316,13 +319,13 @@ def _block_outcomes(
     rnd: np.ndarray,
     nbytes: np.ndarray,
     valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What _simulate_rounds meets on each hop of rounds rnd in each scenario
     (bers of shape (scenarios, hops), seeds uint64), given each hop's frame
     length and whether its transmitter's reading is in range.
 
-    Returns (attempted, delivered, frame bytes sent, out-of-range record
-    encoded), each an array of shape (scenarios, rounds, hops).
+    Returns (delivered, frame bytes sent: none past a lost hop, out-of-range
+    record encoded), each an array of shape (scenarios, rounds, hops).
     """
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above the chunk's
@@ -354,7 +357,7 @@ def _block_outcomes(
     live = np.ones(ok.shape, dtype=bool)
     for h in range(1, len(hop)):
         np.logical_and(live[..., h - 1], ok[..., h - 1], out=live[..., h])
-    return live, live & ok, live * nbytes, live & ~valid
+    return live & ok, live * nbytes, live & ~valid
 
 
 def _monitor_columns(
@@ -388,20 +391,20 @@ def _count_rounds(
     slot_duration: float,
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
-) -> list[tuple[list[int], list[int], list[int], list[list] | None]]:
+) -> list[tuple[list[int], list[int], list[list] | None]]:
     """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
     in blocks of _BLOCK_CELLS (scenario, round, hop) cells, at least one
-    round: every scenario reads the one sensor profile (sweep's and
-    run_scenario's default: SensorProfile of the root seed), so a block's
-    readings and frame lengths serve them all, one draw covers them all, and
-    one replay of the first round is every one's canary.  An out-of-range
-    record raises at the earliest round that encodes one, then the first
-    such scenario in list order.  Seeds are taken modulo 2**64."""
+    round, two count arrays per block: every scenario reads the one sensor
+    profile (sweep's and run_scenario's default: SensorProfile of the root
+    seed), so a block's readings and frame lengths serve them all, one draw
+    covers them all, and one replay of the first round is every one's canary.
+    An out-of-range record raises at the earliest round that encodes one, then
+    the first such scenario in list order.  Seeds are taken modulo 2**64."""
     topology = scenarios[0][0]
     hops = topology.hop_count
     bers = np.array([[link_ber(params, l) for l in t.links] for t, _ in scenarios])
     seeds = np.array([seed_word(s) for _, s in scenarios], dtype=np.uint64)
-    totals = np.zeros((len(scenarios), 3, hops), np.int64)
+    totals = np.zeros((len(scenarios), 2, hops), np.int64)
     width = len(topology.node_ids) + 2
     logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
     block = max(1, _BLOCK_CELLS // (len(scenarios) * hops))
@@ -422,7 +425,7 @@ def _count_rounds(
             )
         counts = np.stack(counts, axis=1)
         totals += np.einsum("scrh->sch", counts)  # sum over rounds
-        for log, done in zip(logs, counts[:, 1]):
+        for log, done in zip(logs, counts[:, 0]):
             if log is not None:
                 new = _monitor_columns(topology, rnd, clocks, raw, done, profile)
                 for column, more in zip(log, new):
@@ -468,8 +471,8 @@ def _reports(
         scenarios, params, 0, rounds, slot_duration, profile, collect_monitor
     )
     reports = []
-    for (topology, seed), counts in zip(scenarios, counted):
-        *per_hop, log = counts
+    for (topology, seed), (delivered, sent, log) in zip(scenarios, counted):
+        per_hop = zip(topology.links, [rounds, *delivered[:-1]], delivered, sent)
         hop_stats = [
             HopStats(
                 hop_index=h,
@@ -481,7 +484,7 @@ def _reports(
                 rx_lux=attenuate(params, link),
                 mean_frame_bytes=f / a if a else 0.0,
             )
-            for h, (link, a, d, f) in enumerate(zip(topology.links, *per_hop))
+            for h, (link, a, d, f) in enumerate(per_hop)
         ]
         ntu, *other_ntu = {l.turbidity_ntu for l in topology.links}
         report_ntu = float("nan") if other_ntu else ntu

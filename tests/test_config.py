@@ -277,6 +277,7 @@ EDGE_VALUES = UNWRITABLE_AS_GIVEN + NUMPY_FLOATS + [
     ("line", partial(LINE, extra_loss=(0.5, np.float32(0.25)))),
     ("line", partial(LINE, extra_loss=(1.5, 1.0))),
     ("line", partial(Topology, [0, 1, 2], [180, 170, 154], [LinkSpec(4.0)] * 2)),
+    ("line", partial(Topology, (0, 1, 2), (180, 170, 154), (4.0, 4.0))),
     ("line", partial(LINE, turbidity_ntu=70.0)),
     ("line", None),
     ("channel", partial(ChannelParams, noise_sigma=np.float32(2.5))),
@@ -315,11 +316,12 @@ def test_every_config_the_type_accepts_round_trips():
             assert parse_config(emit_config(config)) == config, edits
     assert 20 < accepted < len(grid) // 2
     # bools for numbers raise, numpy's too, and so does a missing line,
-    # channel or sensor, or a line in turbid water; numpy floats are kept, as
-    # Python floats
+    # channel or sensor, a line in turbid water or one whose links are not
+    # LinkSpecs; numpy floats are kept, as Python floats
     refused = [("bit_rate", True), ("slot_duration_s", True), ("bit_rate", np.True_),
                ("channel", None), ("sensor", None), ("line", None),
-               ("line", partial(LINE, turbidity_ntu=70.0))]
+               ("line", partial(LINE, turbidity_ntu=70.0)),
+               ("line", partial(Topology, (0, 1, 2), (180, 170, 154), (4.0, 4.0)))]
     for edit in refused:
         assert edited(base, [edit]) is None, edit
     for edit in NUMPY_FLOATS:

@@ -56,15 +56,15 @@ def reference_rounds(scenarios, params, first, last, slot, profile):
 def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
     """Rounds [first, first + rounds) from both engines against the one
     reference replay of the case, with the log; returns the counting
-    engine's (attempted, delivered, frame_bytes_sum, log)."""
+    engine's (delivered, frame_bytes_sum, log)."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
     args = ([(topo, seed)], params, first, first + rounds, slot, profile)
     [stepped] = reference_rounds(((topo, seed),), *args[1:])
     [counted] = sim._count_rounds(*args, True)
     assert counted == stepped
-    assert sim._count_rounds(*args, False) == [(*counted[:3], None)]
-    indices, *floats = counted[3]
+    assert sim._count_rounds(*args, False) == [(*counted[:2], None)]
+    indices, *floats = counted[2]
     assert len(floats) == len(topo.node_ids) + 1
     # plain Python values, so the CSV renders them as the reference log
     assert all(type(r) is int for r in indices)
@@ -80,11 +80,12 @@ def hop_fields(report):
     ]
 
 
-def stepped_fields(attempted, delivered, frame_bytes_sum):
-    """hop_fields of the report run_scenario builds from these counters."""
+def stepped_fields(rounds, delivered, frame_bytes_sum):
+    """hop_fields of the report run_scenario builds from these counters of
+    `rounds` rounds: a hop carries what the hop before it delivered."""
     return [
         (a, d, f / a if a else 0.0)
-        for a, d, f in zip(attempted, delivered, frame_bytes_sum)
+        for a, d, f in zip([rounds, *delivered[:-1]], delivered, frame_bytes_sum)
     ]
 
 
@@ -95,8 +96,8 @@ def assert_report_agrees(topo, params, rounds, seed, profile=None):
     report = run_scenario(
         topo, params, rounds, seed, profile=profile, collect_monitor=True
     )
-    assert hop_fields(report) == stepped_fields(*counted[:3])
-    assert report.monitor_log == counted[3]
+    assert hop_fields(report) == stepped_fields(rounds, *counted[:2])
+    assert report.monitor_log == counted[2]
     return counted
 
 
@@ -108,10 +109,10 @@ def assert_report_agrees(topo, params, rounds, seed, profile=None):
 def test_anchor_line_counts_equal(ntu, root_seed):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(root_seed, ntu)
-    attempted, delivered, _, (logged, *_) = assert_engines_agree(
+    delivered, _, (logged, *_) = assert_engines_agree(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
     )
-    assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
+    assert delivered[-1] < 1500  # losses were drawn
     assert 0 < len(logged) == delivered[-1]
 
 
@@ -119,10 +120,10 @@ def test_anchor_line_counts_equal(ntu, root_seed):
 def test_anchor_line_monitor_rows_equal(ntu):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, _, (logged, *_) = assert_report_agrees(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
     )
-    assert attempted[0] == 1500 and delivered[-1] < 1500  # losses were drawn
+    assert delivered[-1] < 1500  # losses were drawn
     assert 0 < len(logged) == delivered[-1]
 
 
@@ -141,24 +142,24 @@ def test_heterogeneous_config_monitor_rows_equal():
 
 
 def test_single_hop_counts_equal():
-    attempted, delivered, _, _ = assert_engines_agree(
+    delivered, _, _ = assert_engines_agree(
         linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
     )
-    assert 0 < delivered[0] < attempted[0]
+    assert 0 < delivered[0] < 2000
 
 
 def test_single_hop_monitor_rows_equal():
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, _, (logged, *_) = assert_report_agrees(
         linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
     )
-    assert 0 < delivered[0] < attempted[0]
+    assert 0 < delivered[0] < 2000
     assert 0 < len(logged) < 2000
 
 
 def test_escaped_node_ids_counts_equal():
     # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    _, _, frame_bytes, _ = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
+    _, frame_bytes, _ = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
     (nominal,) = fr.hop_frame_lengths([0x7D])
     assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
 
@@ -166,7 +167,7 @@ def test_escaped_node_ids_counts_equal():
 def test_escaped_node_ids_monitor_rows_equal():
     # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
     topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
-    _, _, frame_bytes, _ = assert_report_agrees(topo, lossy_params(0.9), 2000, seed=6)
+    _, frame_bytes, _ = assert_report_agrees(topo, lossy_params(0.9), 2000, seed=6)
     (nominal,) = fr.hop_frame_lengths([0x7D])
     assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
 
@@ -178,11 +179,11 @@ def test_long_line_multi_chunk_counts_equal():
     topo = linear_topology(ids, auth_keys=range(1, 31))
     lengths = fr.hop_frame_lengths(ids[:-1])
     assert 10 * lengths[-1] > 1024
-    attempted, delivered, _, _ = assert_engines_agree(
+    delivered, _, _ = assert_engines_agree(
         topo, lossy_params(0.995), 400, seed=12
     )
     long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
-    assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
+    assert sum(delivered[h - 1] - delivered[h] for h in long_hops) > 0
 
 
 def test_long_line_multi_chunk_monitor_rows_equal():
@@ -192,11 +193,11 @@ def test_long_line_multi_chunk_monitor_rows_equal():
     topo = linear_topology(ids, auth_keys=range(1, 31))
     lengths = fr.hop_frame_lengths(ids[:-1])
     assert 10 * lengths[-1] > 1024
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, _, (logged, *_) = assert_report_agrees(
         topo, lossy_params(0.995), 400, seed=12
     )
     long_hops = [h for h, nbytes in enumerate(lengths) if 10 * nbytes > 1024]
-    assert sum(attempted[h] - delivered[h] for h in long_hops) > 0
+    assert sum(delivered[h - 1] - delivered[h] for h in long_hops) > 0
     assert 0 < len(logged) < 400
 
 
@@ -204,33 +205,33 @@ def test_ber_underflow_and_zero_signal_counts_equal():
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     topo = linear_topology(range(5))
     assert link_ber(clean, topo.links[0]) == 0.0
-    attempted, delivered, _, _ = assert_engines_agree(topo, clean, 300, seed=2)
-    assert attempted == delivered == [300] * 4
+    delivered, _, _ = assert_engines_agree(topo, clean, 300, seed=2)
+    assert delivered == [300] * 4
 
     dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
     deep = linear_topology(range(5), link_distance_m=500.0)
     assert link_ber(dark, deep.links[0]) == 0.5
-    attempted, delivered, _, _ = assert_engines_agree(deep, dark, 300, seed=2)
-    assert attempted == [300, 0, 0, 0] and delivered == [0] * 4
+    delivered, sent, _ = assert_engines_agree(deep, dark, 300, seed=2)
+    assert delivered == [0] * 4 and sent[1:] == [0] * 3
 
 
 def test_ber_underflow_and_zero_signal_monitor_rows_equal():
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     topo = linear_topology(range(5))
     assert link_ber(clean, topo.links[0]) == 0.0
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, _, (logged, *_) = assert_report_agrees(
         topo, clean, 300, seed=2
     )
-    assert attempted == delivered == [300] * 4
+    assert delivered == [300] * 4
     assert logged == list(range(300))
 
     dark = ChannelParams(1000.0, 10.0, 0.0, noise_sigma=1.0)
     deep = linear_topology(range(5), link_distance_m=500.0)
     assert link_ber(dark, deep.links[0]) == 0.5
-    attempted, delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, sent, (logged, *_) = assert_report_agrees(
         deep, dark, 300, seed=2
     )
-    assert attempted == [300, 0, 0, 0] and delivered == [0] * 4
+    assert delivered == [0] * 4 and sent[1:] == [0] * 3
     assert logged == []
 
 
@@ -263,7 +264,7 @@ def test_partitions_counts_equal(parts, monkeypatch):
     counted = run_scenario(topo, ANCHOR, 1001, 8, profile=profile)
     *counts, _ = assert_engines_agree(topo, ANCHOR, 1001, 8, profile)
     assert counted.hops == serial.hops
-    assert hop_fields(counted) == stepped_fields(*counts)
+    assert hop_fields(counted) == stepped_fields(1001, *counts)
     assert counted.monitor_log is None
 
 
@@ -274,7 +275,7 @@ def test_partitions_monitor_rows_equal(parts, monkeypatch):
     serial = run_scenario(topo, ANCHOR, 1001, 8, profile=profile, collect_monitor=True)
     split_1001_rounds(monkeypatch, parts)
     *counts, log = assert_report_agrees(topo, ANCHOR, 1001, 8, profile)
-    assert hop_fields(serial) == stepped_fields(*counts)
+    assert hop_fields(serial) == stepped_fields(1001, *counts)
     assert serial.monitor_log == log
 
 
@@ -381,10 +382,10 @@ def test_hop_frame_lengths_equal_the_cumsum_formula():
 def test_escape_heavy_anchor_line_counts_equal():
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     seed = sim.scenario_seed(ACCEPTANCE_SEED, 70.0)
-    attempted, delivered, *_ = assert_report_agrees(
+    delivered, *_ = assert_report_agrees(
         topo, ANCHOR, 1500, seed, ESCAPE_HEAVY
     )
-    assert delivered[-1] < attempted[0] == 1500
+    assert delivered[-1] < 1500
 
 
 def test_escape_heavy_escaped_node_ids_counts_equal():
@@ -402,10 +403,10 @@ def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
 
 def test_escape_heavy_long_line_multi_chunk_counts_equal():
     topo = linear_topology(range(30), auth_keys=range(1, 31))
-    attempted, delivered, *_ = assert_report_agrees(
+    delivered, *_ = assert_report_agrees(
         topo, lossy_params(0.995), 400, seed=12, profile=ESCAPE_HEAVY
     )
-    assert 0 < delivered[-1] < attempted[-1]
+    assert 0 < delivered[-1] < delivered[-2]
 
 
 # --- layer parity ---------------------------------------------------------------
@@ -464,7 +465,8 @@ def test_long_frame_outcomes_match_the_binomial_draw():
     rnd = np.arange(4000, dtype=np.int64)
     nbytes = np.random.default_rng(5).integers(103, 143, size=(len(rnd), 2))
     valid = np.ones(nbytes.shape, dtype=bool)
-    live, delivered, _, _ = sim._block_outcomes(bers, seeds, rnd, nbytes, valid)
+    delivered, sent, _ = sim._block_outcomes(bers, seeds, rnd, nbytes, valid)
+    live = sent > 0  # every frame has bytes: a hop sends in each live round
     assert live[..., 0].all() and 0 < live[..., 1].sum() < live[..., 0].sum()
     for k, i, h in np.argwhere(live).tolist():
         stream = Substream(int(seeds[k]), sim._LINK_STREAM_TAG, i, h)
@@ -516,10 +518,10 @@ def test_schedule_windows_are_the_reference_engines_slot_times(nodes, monkeypatc
     topo = linear_topology(range(nodes))
     slot = min_slot_duration(nodes)
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
-    [(attempted, delivered, *_)] = sim._simulate_rounds(
+    [(delivered, *_)] = sim._simulate_rounds(
         [(topo, 3)], clean, 1, 200, slot, SensorProfile(seed=3), False
     )
-    assert delivered == attempted == [199] * (nodes - 1)
+    assert delivered == [199] * (nodes - 1)
     expected = [
         event
         for rnd in range(1, 200)
@@ -537,7 +539,7 @@ def test_reading_exactly_on_half_rounds_to_even():
     profile = SensorProfile(baseline_c=20.001953125, amplitude_c=0.0, noise_std_c=0.0)
     assert sensor_raw(0, np.zeros(3), profile).tolist() == [0x3C00] * 3
     topo = linear_topology(range(5))
-    _, _, frame_bytes, _ = assert_engines_agree(
+    _, frame_bytes, _ = assert_engines_agree(
         topo, lossy_params(0.9), 200, seed=1, profile=profile
     )
     assert frame_bytes[0] == 200 * (fr.hop_frame_lengths([0])[0] + 1)
@@ -774,8 +776,8 @@ def test_perturbed_engine_trips_the_canary(monkeypatch):
     original = sim._block_outcomes
 
     def perturbed(*args):
-        live, delivered, nbytes, bad = original(*args)
-        return live, delivered, nbytes + 1, bad
+        delivered, nbytes, bad = original(*args)
+        return delivered, nbytes + 1, bad
 
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     with pytest.raises(RuntimeError, match="counting engine"):
@@ -880,9 +882,9 @@ def test_shared_replay_equals_one_replay_per_scenario(monitor):
     args = (ANCHOR, 0, 300, min_slot_duration(5), profile)
     shared = reference_rounds(tuple(scenarios), *args)
     assert shared == [reference_rounds((s,), *args)[0] for s in scenarios]
-    assert 0 < shared[-1][1][0] < 100  # hop 0 of the rare line
+    assert 0 < shared[-1][0][0] < 100  # hop 0 of the rare line
     assert all(log[0] for *_, log in shared)
-    expected = shared if monitor else [(*run[:3], None) for run in shared]
+    expected = shared if monitor else [(*run[:2], None) for run in shared]
     assert sim._count_rounds(scenarios, *args, monitor) == expected
 
 
@@ -912,9 +914,9 @@ def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
     original = sim._block_outcomes
 
     def perturbed(bers, seeds, *rest):
-        live, delivered, sent, bad = original(bers, seeds, *rest)
+        delivered, sent, bad = original(bers, seeds, *rest)
         sent[seeds == second] += 1  # the second scenario's (rounds, hops) slice
-        return live, delivered, sent, bad
+        return delivered, sent, bad
 
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     topo, profile = linear_topology(range(5)), SensorProfile(seed=0)
@@ -958,7 +960,7 @@ def test_batched_draw_equals_one_turbidity_sweeps_on_a_hard_line():
     scenarios = [(line, sim.scenario_seed(7, t)) for line, t in zip(lines, HARD_NTU)]
     stepped_runs = sim._simulate_rounds(scenarios, HARD_CHANNEL, *args)
     for report, (*stepped, log) in zip(swept, stepped_runs):
-        assert hop_fields(report) == stepped_fields(*stepped)
+        assert hop_fields(report) == stepped_fields(400, *stepped)
         assert report.monitor_log == log
 
 

@@ -145,7 +145,7 @@ def test_record_node_id_validated():
         SensorRecord(255, 20.0)
     with pytest.raises(ValueError):
         SensorRecord(-1, 20.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SensorRecord(True, 20.0)  # bool is no id, though isinstance(True, int)
 
 
@@ -180,8 +180,21 @@ def test_frame_validation():
         Frame((0,))
     with pytest.raises(ValueError):
         Frame((255,))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Frame((True,))  # bool is no key, though isinstance(True, int)
+
+
+def test_numpy_ids_and_keys_are_python_ints():
+    record = SensorRecord(np.uint8(7), 20.0)
+    frame = Frame((np.int64(180), 170), (record,))
+    assert frame == Frame((180, 170), (SensorRecord(7, 20.0),))
+    assert type(record.node_id) is int and type(frame.key_chain[0]) is int
+    decoded = decode_frame(encode_frame(frame), np.array([180, 170]))
+    assert decoded == frame and type(decoded.key_chain[0]) is int
+    for bad in (lambda: SensorRecord(7.0, 20.0), lambda: Frame((np.float64(180),)),
+                lambda: decode_frame(encode_frame(frame), (np.True_, 170))):
+        with pytest.raises(TypeError):
+            bad()
 
 
 # --- decode ------------------------------------------------------------------

@@ -104,6 +104,19 @@ def test_topology_validation():
         Topology((0, 1, 2), (180, 170, 154), (LinkSpec(4.0),))
     with pytest.raises(ValueError, match="node ids must be distinct"):
         Topology((0, 0), (180, 170), (LinkSpec(4.0),))
+    with pytest.raises(TypeError, match="links"):
+        Topology((0, 1, 2), (180, 170, 154), (4.0, 4.0))  # distances, not LinkSpecs
+
+
+def test_numpy_ids_and_keys_make_the_same_line():
+    # held as Python ints, under the one integer rule: bool is neither
+    numpy_line = linear_topology(np.arange(5), auth_keys=np.arange(180, 185))
+    assert numpy_line == linear_topology(range(5), auth_keys=range(180, 185))
+    assert {type(v) for v in numpy_line.node_ids + numpy_line.auth_keys} == {int}
+    with pytest.raises(TypeError, match="node id"):
+        linear_topology([0, True])
+    with pytest.raises(TypeError, match="auth key"):
+        linear_topology([0, 1], auth_keys=[180, np.True_])
 
 
 # --- transmit_over_link ------------------------------------------------------------
@@ -171,6 +184,25 @@ def test_substream_edge_cases():
     assert stream.binomial(50, 1.5) == 50
     assert stream.distinct_below(4, 4) == [0, 1, 2, 3]
     assert stream.distinct_below(4, 9) == [0, 1, 2, 3]
+
+
+def test_gauss_redraws_a_zero_u1():
+    # Box-Muller takes log(u1): a first word of 0.0 is drawn again, and u1
+    # and u2 are the next two words
+    class Words(Substream):
+        def __init__(self, *words):
+            self.words = iter(words)
+
+        def uniform(self):
+            return next(self.words)
+
+    u1, u2 = 0.25, 0.125
+    expected = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    assert Words(u1, u2).gauss() == expected
+    for redrawn in ([0.0], [0.0, 0.0]):
+        stream = Words(*redrawn, u1, u2, 0.5)
+        assert stream.gauss() == expected
+        assert next(stream.words) == 0.5  # no word beyond u2 taken
 
 
 # --- run_scenario ---------------------------------------------------------------

@@ -90,6 +90,8 @@ MUTANTS = [
      '_checked("topology.link_distances"', '_checked("topology.nodes"', 28),
     ("turbid_line_accepted", CONFIG,
      "if any(link.turbidity_ntu for link in self.line.links):", "if False:", 28),
+    ("attempted_from_next_hop", SIM,
+     "[rounds, *delivered[:-1]]", "[rounds, *delivered[1:]]", 29),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
