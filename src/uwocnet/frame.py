@@ -48,6 +48,10 @@ END_BYTE = 0x00
 ESCAPE_BYTE = 0x7D
 ESCAPE_XOR = 0x20
 _ESCAPED = frozenset((0x00, 0xFF, ESCAPE_BYTE))
+# (reserved byte, its escape pair), the escape byte first: escape_payload's order
+_STUFFING = tuple(
+    (bytes((b,)), bytes((ESCAPE_BYTE, b ^ ESCAPE_XOR))) for b in (ESCAPE_BYTE, 0x00, 0xFF)
+)
 # _ESCAPE_COST[b]: the extra bytes that escaping payload byte b costs.
 _ESCAPE_COST = np.zeros(256, dtype=np.int64)
 _ESCAPE_COST[list(_ESCAPED)] = 1
@@ -196,44 +200,44 @@ def record_length(node_id, raw):
 
 
 def escape_payload(raw: bytes | bytearray) -> bytes:
-    """Byte-stuff a payload so it contains no bare 0x00, 0xFF or 0x7D."""
-    out = bytearray()
-    for b in raw:
-        if b in _ESCAPED:
-            out.append(ESCAPE_BYTE)
-            out.append(b ^ ESCAPE_XOR)
-        else:
-            out.append(b)
-    return bytes(out)
+    """Byte-stuff a payload so it contains no bare 0x00, 0xFF or 0x7D: each
+    becomes (0x7D, b ^ 0x20).  One C-level bytes.replace per reserved byte,
+    the escape byte's first, so that no pair put in is escaped again."""
+    out = bytes(raw)
+    for byte, pair in _STUFFING:
+        out = out.replace(byte, pair)
+    return out
 
 
 def unescape_payload(data: bytes | bytearray) -> bytes:
     """Invert escape_payload.
 
     Raises MalformedEscape on a dangling escape byte, an escape pair that
-    does not decode to a reserved byte, or a bare reserved byte.
+    does not decode to a reserved byte, or a bare reserved byte.  A payload
+    is decoded at C level, each pair replaced, the escape byte's last; it
+    is well formed exactly when escape_payload gives it back, and only a
+    malformed one is walked byte by byte, to name its first fault.
     """
-    out = bytearray()
+    out = bytes(data)
+    for byte, pair in reversed(_STUFFING):
+        out = out.replace(pair, byte)
+    if escape_payload(out) == data:
+        return out
     i = 0
-    n = len(data)
-    while i < n:
+    while True:  # data is malformed, so the walk meets a fault before its end
         b = data[i]
         if b == ESCAPE_BYTE:
-            if i + 1 >= n:
+            if i + 1 >= len(data):
                 raise MalformedEscape("escape byte at end of payload")
-            decoded = data[i + 1] ^ ESCAPE_XOR
-            if decoded not in _ESCAPED:
+            if data[i + 1] ^ ESCAPE_XOR not in _ESCAPED:
                 raise MalformedEscape(
                     f"invalid escape pair 0x7D 0x{data[i + 1]:02X}"
                 )
-            out.append(decoded)
             i += 2
         elif b in _ESCAPED:
             raise MalformedEscape(f"bare reserved byte 0x{b:02X} in payload")
         else:
-            out.append(b)
             i += 1
-    return bytes(out)
 
 
 def encode_frame(frame: Frame) -> bytes:

@@ -43,6 +43,13 @@ class Phase(Enum):
     TRANSMITTING = "transmitting"
 
 
+# The members that step and NodeState read, bound once: on Python 3.11 each
+# read of an enum class attribute goes through EnumType.__getattr__'s slot
+# (~0.1 us), and one canary round of a 5-node line makes ~180 such reads.
+_ORIGINATOR, _SINK = NodeRole.ORIGINATOR, NodeRole.SINK
+_IDLE, _RECEIVING, _TRANSMITTING = Phase.IDLE, Phase.RECEIVING, Phase.TRANSMITTING
+
+
 class DropReason(Enum):
     TIMEOUT = "timeout"
     BAD_HEADER = "bad_header"
@@ -278,9 +285,9 @@ class NodeState:
 
     def __post_init__(self) -> None:
         fr.validate_auth_key(self.own_key)
-        if self.role is NodeRole.ORIGINATOR and self.expected_upstream_keys:
+        if self.role is _ORIGINATOR and self.expected_upstream_keys:
             raise ValueError("an originator expects no upstream keys")
-        if self.role is not NodeRole.ORIGINATOR and not self.expected_upstream_keys:
+        if self.role is not _ORIGINATOR and not self.expected_upstream_keys:
             raise ValueError("relay/sink nodes need the expected upstream key chain")
 
 
@@ -307,62 +314,64 @@ def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction
     """Advance one node by one event; returns (new state, emitted actions)."""
     event_type = type(event)
     if event_type is SlotStart:
-        if state.phase is not Phase.IDLE:
+        if state.phase is not _IDLE:
             raise ProtocolViolation(
                 f"node {state.node_id}: slot start while {state.phase.value}"
             )
         if event.kind == "tx":
-            if state.role is NodeRole.SINK:
+            if state.role is _SINK:
                 raise ProtocolViolation("a sink never transmits")
-            if state.role is NodeRole.ORIGINATOR:
+            if state.role is _ORIGINATOR:
                 record = sample_sensor(state.node_id, event.time, state.profile)
                 frame = fr.Frame((state.own_key,), (record,))
-                new = _advance(state, Phase.TRANSMITTING)
+                new = _advance(state, _TRANSMITTING)
                 return new, [TransmitBytes(fr.encode_frame(frame))]
             if state.pending_frame is None:
                 # Nothing survived the rx slot; hold the slot silently.
-                return _advance(state, Phase.IDLE), []
+                return _advance(state, _IDLE), []
             data = fr.encode_frame(state.pending_frame)
-            new = _advance(state, Phase.TRANSMITTING)
+            new = _advance(state, _TRANSMITTING)
             return new, [TransmitBytes(data)]
         if event.kind == "rx":
-            if state.role is NodeRole.ORIGINATOR:
+            if state.role is _ORIGINATOR:
                 raise ProtocolViolation("an originator never receives")
-            return _advance(state, Phase.RECEIVING), []
+            return _advance(state, _RECEIVING), []
         raise ProtocolViolation(f"unknown slot kind {event.kind!r}")
 
     if event_type is BytesArrived:
-        if state.role is NodeRole.ORIGINATOR:
+        if state.role is _ORIGINATOR:
             raise ProtocolViolation("bytes arrived at an originator")
-        if state.phase is not Phase.RECEIVING:
+        if state.phase is not _RECEIVING:
             raise ProtocolViolation(
                 f"node {state.node_id}: bytes outside an rx slot"
             )
-        return _advance(state, Phase.RECEIVING, state.rx_buffer + event.data), []
+        return _advance(state, _RECEIVING, state.rx_buffer + event.data), []
 
     if event_type is SlotEnd:
-        if state.phase is Phase.TRANSMITTING:
-            return _advance(state, Phase.IDLE), []
-        if state.phase is Phase.RECEIVING:
-            idle = _advance(state, Phase.IDLE)
+        if state.phase is _TRANSMITTING:
+            return _advance(state, _IDLE), []
+        if state.phase is _RECEIVING:
+            # each outcome builds its own idle state: a forwarding relay's holds the frame
             if not state.rx_buffer:
-                return idle, [DropPacket(DropReason.TIMEOUT, "empty rx slot")]
+                drop = DropPacket(DropReason.TIMEOUT, "empty rx slot")
+                return _advance(state, _IDLE), [drop]
             try:
                 frame = fr.decode_frame(state.rx_buffer, state.expected_upstream_keys)
             except fr.FrameError as exc:
                 reason = _DROP_REASONS.get(type(exc))
                 if reason is None:
                     raise
-                return idle, [DropPacket(reason, str(exc))]
+                return _advance(state, _IDLE), [DropPacket(reason, str(exc))]
             if len(frame.records) != len(frame.key_chain):  # each hop adds one of each
                 detail = f"{len(frame.records)} records, {len(frame.key_chain)} keys"
-                return idle, [DropPacket(DropReason.BAD_PAYLOAD_LENGTH, detail)]
+                drop = DropPacket(DropReason.BAD_PAYLOAD_LENGTH, detail)
+                return _advance(state, _IDLE), [drop]
             record = sample_sensor(state.node_id, event.time, state.profile)
             extended = fr.append_hop(frame, state.own_key, record)
-            if state.role is NodeRole.SINK:
-                return idle, [DeliverToMonitor(extended, event.time)]
-            return _advance(state, Phase.IDLE, pending_frame=extended), []
-        return _advance(state, Phase.IDLE), []
+            if state.role is _SINK:
+                return _advance(state, _IDLE), [DeliverToMonitor(extended, event.time)]
+            return _advance(state, _IDLE, pending_frame=extended), []
+        return _advance(state, _IDLE), []
 
     raise ProtocolViolation(f"unknown event {event!r}")
 
@@ -409,14 +418,7 @@ def schedule(
     ids = tuple(node_ids)
     if len(ids) < 2:
         raise ValueError("a schedule needs at least two nodes")
-    if as_float(slot_duration, "slot_duration") <= 0:
-        raise ValueError("slot_duration must be > 0")
-    needed = min_slot_duration(len(ids), bit_rate)
-    if needed > slot_duration:
-        raise SlotTooShort(
-            f"largest frame needs {needed:.6g} s at {bit_rate:g} bit/s, "
-            f"slot is {slot_duration:.6g} s"
-        )
+    slot_duration = checked_slot(len(ids), slot_duration, bit_rate)
     hops = len(ids) - 1
     slots: list[Slot] = []
     for i in range(hops):
@@ -425,6 +427,25 @@ def schedule(
         slots.append(Slot(ids[i], "tx", start, end))
         slots.append(Slot(ids[i + 1], "rx", start, end))
     return slots
+
+
+def checked_slot(
+    node_count: int, slot_duration, bit_rate: float = DEFAULT_BIT_RATE
+) -> float:
+    """slot_duration as a Python float (rng.as_float), checked to be > 0 and
+    to fit the worst-case frame of a line of node_count nodes at bit_rate:
+    schedule's slot check, which the simulation engines run without a
+    schedule.  Raises SlotTooShort when the frame does not fit."""
+    slot = as_float(slot_duration, "slot_duration")
+    if slot <= 0:
+        raise ValueError("slot_duration must be > 0")
+    needed = min_slot_duration(node_count, bit_rate)
+    if needed > slot:
+        raise SlotTooShort(
+            f"largest frame needs {needed:.6g} s at {bit_rate:g} bit/s, "
+            f"slot is {slot:.6g} s"
+        )
+    return slot
 
 
 def min_slot_duration(node_count: int, bit_rate: float = DEFAULT_BIT_RATE) -> float:

@@ -46,7 +46,10 @@ def as_int(value, name: str) -> int:
 
 
 def as_float(value, name: str) -> float:
-    """value as a finite Python float, numpy's too; bool, numpy's too, is not one."""
+    """value as a finite Python float, numpy's too; bool, numpy's too, is not one.
+    Fast path: a finite Python float (not np.float64, a subclass) comes back as is."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name} must be a number, not bool {value!r}")
     if not math.isfinite(value):
@@ -55,15 +58,21 @@ def as_float(value, name: str) -> float:
 
 
 def seed_word(seed) -> int:
-    """A seed or address word modulo 2**64: any integer, numpy's too."""
-    return as_int(seed, "seed") & _MASK64
+    """A seed or address word modulo 2**64: any integer, numpy's too.  Fast
+    path: a Python int (not bool, a subclass) skips as_int, which the rest take."""
+    return (seed if type(seed) is int else as_int(seed, "seed")) & _MASK64
 
 
 def derive_state(seed: int, *words: int) -> int:
-    """Fold integer address words into a 64-bit substream state."""
+    """Fold integer address words into a 64-bit substream state: per word,
+    s = _mix((s + golden) ^ seed_word(w)), inlined.  The word is not reduced:
+    XOR is bitwise, so the 64 bits the mask keeps are those of seed_word(w)."""
     s = seed_word(seed)
     for w in words:
-        s = _mix((s + _GOLDEN) ^ seed_word(w))
+        z = ((s + _GOLDEN) ^ (w if type(w) is int else as_int(w, "seed"))) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        s = z ^ (z >> 31)
     return s
 
 

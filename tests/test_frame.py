@@ -101,6 +101,84 @@ def test_escape_injective():
         seen[out] = raw
 
 
+RESERVED = (0x00, 0xFF, 0x7D)
+
+
+def loop_escape(raw: bytes) -> bytes:
+    """escape_payload one byte at a time: the reference of its C-level passes."""
+    out = bytearray()
+    for b in raw:
+        out += bytes((0x7D, b ^ 0x20)) if b in RESERVED else bytes((b,))
+    return bytes(out)
+
+
+def loop_unescape(data: bytes) -> bytes:
+    """unescape_payload one byte at a time, raising MalformedEscape with its
+    texts at the first fault."""
+    out, i = bytearray(), 0
+    while i < len(data):
+        b = data[i]
+        if b == 0x7D:
+            if i + 1 >= len(data):
+                raise MalformedEscape("escape byte at end of payload")
+            if data[i + 1] ^ 0x20 not in RESERVED:
+                raise MalformedEscape(f"invalid escape pair 0x7D 0x{data[i + 1]:02X}")
+            out.append(data[i + 1] ^ 0x20)
+            i += 2
+        elif b in RESERVED:
+            raise MalformedEscape(f"bare reserved byte 0x{b:02X} in payload")
+        else:
+            out.append(b)
+            i += 1
+    return bytes(out)
+
+
+def loop_result(data: bytes):
+    """loop_unescape's result, or the text of the MalformedEscape it raises."""
+    try:
+        return loop_unescape(data)
+    except MalformedEscape as exc:
+        return str(exc)
+
+
+def unescaped_or_error(data):
+    try:
+        return unescape_payload(data)
+    except MalformedEscape as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("reserved", [(), (0x00,), (0xFF,), (0x7D,), RESERVED])
+def test_codec_equals_the_byte_loop(reserved):
+    # payloads without a reserved byte pass through unchanged; with any of
+    # them, escaping and unescaping match the loop byte for byte
+    rng = random.Random(f"codec/{reserved}")
+    plain = [b for b in range(256) if b not in RESERVED]
+    for _ in range(300):
+        alphabet = plain + list(reserved) * 40
+        raw = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
+        for payload in (raw, bytearray(raw)):
+            escaped = escape_payload(payload)
+            assert type(escaped) is bytes and escaped == loop_escape(raw)
+            for data in (escaped, bytearray(escaped)):
+                decoded = unescape_payload(data)
+                assert type(decoded) is bytes and decoded == raw
+        assert (escaped == raw) == (not set(raw) & set(RESERVED))
+
+
+def test_unescape_equals_the_byte_loop_on_any_input():
+    # every 0-2 byte input, and longer ones over the bytes that escaping
+    # writes or must not leave bare: the same bytes or the same first fault
+    inputs = [b""] + [bytes([b]) for b in range(256)]
+    inputs += [bytes([a, b]) for a in range(256) for b in range(256)]
+    rng = random.Random(30)
+    alphabet = [0x00, 0xFF, 0x7D, 0x20, 0xDF, 0x5D, 0x41]
+    inputs += [bytes(rng.choice(alphabet) for _ in range(rng.randint(3, 12)))
+               for _ in range(5000)]
+    for data in inputs:
+        assert unescaped_or_error(data) == loop_result(data), data.hex()
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -2,10 +2,12 @@
 reproducibility, closed-form agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from uwocnet import node as nd
 from uwocnet import sim
 from uwocnet.channel import (
     ChannelParams,
@@ -313,6 +315,37 @@ def test_run_scenario_validation():
             run_scenario(linear_topology(range(3)), CLEAN, 10, seed=0, **bad)
         with pytest.raises(TypeError, match=f"{keyword} .* bool True"):
             sweep(linear_topology(range(3)), CLEAN, [0.01], 10, seed=0, **bad)
+
+
+def test_engines_refuse_the_slots_schedule_refuses():
+    # a slot below the worst-case frame, or not above 0, is refused with
+    # schedule's errors; the smallest slot that fits runs
+    topo = linear_topology(range(3))
+    runs = [lambda **kw: run_scenario(topo, CLEAN, 10, seed=0, **kw),
+            lambda **kw: sweep(topo, CLEAN, [0.01, 70.0], 10, seed=0, **kw)]
+    fits = nd.min_slot_duration(3)
+    for run in runs:
+        for slot, bit_rate in [(0.99 * fits, 9600.0), (fits, 4800.0)]:
+            with pytest.raises(nd.SlotTooShort) as expected:
+                nd.schedule(topo.node_ids, slot, 0, bit_rate)
+            with pytest.raises(nd.SlotTooShort, match=re.escape(str(expected.value))):
+                run(slot_duration=slot, bit_rate=bit_rate)
+        for slot in (0.0, 0, -fits, -1):
+            with pytest.raises(ValueError, match="slot_duration must be > 0"):
+                run(slot_duration=slot)
+        assert run(slot_duration=fits) == run()
+
+
+@pytest.mark.parametrize("slot", [1, np.int64(1), np.float32(1.0)])
+def test_an_integer_or_float32_slot_is_its_float(slot):
+    # the engines clock with the checked float: int64 or float32 clocks
+    # would key the sensor noise by other bits than sample_sensor's
+    topo = linear_topology(range(3))
+    for run in (lambda s: run_scenario(topo, CLEAN, 50, seed=3, slot_duration=s,
+                                       collect_monitor=True),
+                lambda s: sweep(topo, CLEAN, [0.01, 70.0], 50, seed=3, slot_duration=s,
+                                collect_monitor=True)):
+        assert run(slot) == run(float(slot))
 
 
 def test_monitor_sampled_only_when_requested():

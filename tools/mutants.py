@@ -44,6 +44,7 @@ NODE = "src/uwocnet/node.py"
 FRAME = "src/uwocnet/frame.py"
 CHANNEL = "src/uwocnet/channel.py"
 CONFIG = "src/uwocnet/config.py"
+RNG = "src/uwocnet/rng.py"
 
 # (name, file, exact old text, new text, PR that introduced the mutant)
 MUTANTS = [
@@ -92,6 +93,15 @@ MUTANTS = [
      "if any(link.turbidity_ntu for link in self.line.links):", "if False:", 28),
     ("attempted_from_next_hop", SIM,
      "[rounds, *delivered[:-1]]", "[rounds, *delivered[1:]]", 29),
+    ("engine_slot_unchecked", SIM,
+     "nd.checked_slot(len(node_ids), slot_duration, bit_rate)",
+     'nd.as_float(slot_duration, "slot_duration")', 30),
+    ("slot_fit_unchecked", NODE,
+     "if needed > slot:", "if False:", 30),
+    ("float_fast_path_unchecked", RNG,
+     "if type(value) is float and math.isfinite(value):", "if type(value) is float:", 30),
+    ("stuffing_without_escape_byte", FRAME,
+     "for b in (ESCAPE_BYTE, 0x00, 0xFF)", "for b in (0x00, 0xFF)", 30),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
