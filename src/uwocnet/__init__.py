@@ -43,6 +43,7 @@ from .node import (
     DeliverToMonitor,
     DropPacket,
     DropReason,
+    NodeIdentity,
     NodeRole,
     NodeState,
     ProtocolViolation,

@@ -8,10 +8,11 @@ node delivers to the monitor instead of transmitting.  A frame that fails
 to decode or to authenticate (or never arrives) is dropped for the round -
 there are no retransmissions or NACKs.
 
-step() is a pure function of (state, event): it returns a new state plus
-the actions the node emits, never mutating its inputs, so replaying an
-event log reproduces the action log exactly and states for different
-nodes can be advanced concurrently between slot boundaries.
+A state is a NodeIdentity, checked once, plus phase, rx buffer and pending
+frame.  step() is a pure function of (state, event): it returns a new state
+on the same identity plus the actions the node emits, never mutating its
+inputs, so replaying an event log reproduces the action log exactly and
+states for different nodes can be advanced concurrently between slots.
 """
 
 from __future__ import annotations
@@ -271,107 +272,99 @@ NodeAction = TransmitBytes | DeliverToMonitor | DropPacket
 
 
 @dataclass(frozen=True, slots=True)
-class NodeState:
-    """Relay position plus buffered frame and timing context."""
+class NodeIdentity:
+    """A node's place on the line, checked once; ids and keys are held as
+    the Python ints frame.validate_node_id/validate_auth_key return."""
 
     node_id: int
     role: NodeRole
     own_key: int
     expected_upstream_keys: tuple[int, ...]
     profile: SensorProfile = SensorProfile()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_id", fr.validate_node_id(self.node_id))
+        object.__setattr__(self, "own_key", fr.validate_auth_key(self.own_key))
+        upstream = tuple(map(fr.validate_auth_key, self.expected_upstream_keys))
+        object.__setattr__(self, "expected_upstream_keys", upstream)
+        if self.role is _ORIGINATOR and upstream:
+            raise ValueError("an originator expects no upstream keys")
+        if self.role is not _ORIGINATOR and not upstream:
+            raise ValueError("relay/sink nodes need the expected upstream key chain")
+
+
+@dataclass(frozen=True, slots=True)
+class NodeState:
+    """A node's checked identity plus its phase, rx buffer and pending frame."""
+
+    identity: NodeIdentity
     phase: Phase = Phase.IDLE
     rx_buffer: bytes = b""
     pending_frame: fr.Frame | None = None
 
     def __post_init__(self) -> None:
-        fr.validate_auth_key(self.own_key)
-        if self.role is _ORIGINATOR and self.expected_upstream_keys:
-            raise ValueError("an originator expects no upstream keys")
-        if self.role is not _ORIGINATOR and not self.expected_upstream_keys:
-            raise ValueError("relay/sink nodes need the expected upstream key chain")
-
-
-def _advance(
-    state: NodeState,
-    phase: Phase,
-    rx_buffer: bytes = b"",
-    pending_frame: fr.Frame | None = None,
-) -> NodeState:
-    """state in phase, its identity fields passed through NodeState's checks."""
-    return NodeState(
-        state.node_id,
-        state.role,
-        state.own_key,
-        state.expected_upstream_keys,
-        state.profile,
-        phase,
-        rx_buffer,
-        pending_frame,
-    )
+        if type(self.identity) is not NodeIdentity:
+            raise TypeError(f"a node state needs a NodeIdentity, got {self.identity!r}")
 
 
 def step(state: NodeState, event: NodeEvent) -> tuple[NodeState, list[NodeAction]]:
     """Advance one node by one event; returns (new state, emitted actions)."""
+    identity = state.identity
     event_type = type(event)
     if event_type is SlotStart:
         if state.phase is not _IDLE:
             raise ProtocolViolation(
-                f"node {state.node_id}: slot start while {state.phase.value}"
+                f"node {identity.node_id}: slot start while {state.phase.value}"
             )
         if event.kind == "tx":
-            if state.role is _SINK:
+            if identity.role is _SINK:
                 raise ProtocolViolation("a sink never transmits")
-            if state.role is _ORIGINATOR:
-                record = sample_sensor(state.node_id, event.time, state.profile)
-                frame = fr.Frame((state.own_key,), (record,))
-                new = _advance(state, _TRANSMITTING)
-                return new, [TransmitBytes(fr.encode_frame(frame))]
+            if identity.role is _ORIGINATOR:
+                record = sample_sensor(identity.node_id, event.time, identity.profile)
+                data = fr.encode_frame(fr.Frame((identity.own_key,), (record,)))
+                return NodeState(identity, _TRANSMITTING), [TransmitBytes(data)]
             if state.pending_frame is None:
                 # Nothing survived the rx slot; hold the slot silently.
-                return _advance(state, _IDLE), []
+                return NodeState(identity), []
             data = fr.encode_frame(state.pending_frame)
-            new = _advance(state, _TRANSMITTING)
-            return new, [TransmitBytes(data)]
+            return NodeState(identity, _TRANSMITTING), [TransmitBytes(data)]
         if event.kind == "rx":
-            if state.role is _ORIGINATOR:
+            if identity.role is _ORIGINATOR:
                 raise ProtocolViolation("an originator never receives")
-            return _advance(state, _RECEIVING), []
+            return NodeState(identity, _RECEIVING), []
         raise ProtocolViolation(f"unknown slot kind {event.kind!r}")
 
     if event_type is BytesArrived:
-        if state.role is _ORIGINATOR:
+        if identity.role is _ORIGINATOR:
             raise ProtocolViolation("bytes arrived at an originator")
         if state.phase is not _RECEIVING:
             raise ProtocolViolation(
-                f"node {state.node_id}: bytes outside an rx slot"
+                f"node {identity.node_id}: bytes outside an rx slot"
             )
-        return _advance(state, _RECEIVING, state.rx_buffer + event.data), []
+        return NodeState(identity, _RECEIVING, state.rx_buffer + event.data), []
 
     if event_type is SlotEnd:
-        if state.phase is _TRANSMITTING:
-            return _advance(state, _IDLE), []
         if state.phase is _RECEIVING:
-            # each outcome builds its own idle state: a forwarding relay's holds the frame
             if not state.rx_buffer:
                 drop = DropPacket(DropReason.TIMEOUT, "empty rx slot")
-                return _advance(state, _IDLE), [drop]
+                return NodeState(identity), [drop]
             try:
-                frame = fr.decode_frame(state.rx_buffer, state.expected_upstream_keys)
+                frame = fr.decode_frame(state.rx_buffer, identity.expected_upstream_keys)
             except fr.FrameError as exc:
                 reason = _DROP_REASONS.get(type(exc))
                 if reason is None:
                     raise
-                return _advance(state, _IDLE), [DropPacket(reason, str(exc))]
+                return NodeState(identity), [DropPacket(reason, str(exc))]
             if len(frame.records) != len(frame.key_chain):  # each hop adds one of each
                 detail = f"{len(frame.records)} records, {len(frame.key_chain)} keys"
                 drop = DropPacket(DropReason.BAD_PAYLOAD_LENGTH, detail)
-                return _advance(state, _IDLE), [drop]
-            record = sample_sensor(state.node_id, event.time, state.profile)
-            extended = fr.append_hop(frame, state.own_key, record)
-            if state.role is _SINK:
-                return _advance(state, _IDLE), [DeliverToMonitor(extended, event.time)]
-            return _advance(state, _IDLE, pending_frame=extended), []
-        return _advance(state, _IDLE), []
+                return NodeState(identity), [drop]
+            record = sample_sensor(identity.node_id, event.time, identity.profile)
+            extended = fr.append_hop(frame, identity.own_key, record)
+            if identity.role is _SINK:
+                return NodeState(identity), [DeliverToMonitor(extended, event.time)]
+            return NodeState(identity, pending_frame=extended), []
+        return NodeState(identity), []  # the end of a tx slot, or of no slot
 
     raise ProtocolViolation(f"unknown event {event!r}")
 

@@ -8,7 +8,9 @@ a no-FEC receiver where ground truth is known.
 
 A Topology is the line's node ids, keys and links in order; a node's role
 and the key chain it expects follow from its position, and
-Topology.node_states is the one place that derives them.
+Topology.node_states is the one place that derives them, as one checked
+NodeIdentity per node.  A pass is one line plus runs of (links, seed): ids,
+keys and readings come from the line, and a sweep builds only links.
 
 Two engines give identical results: per scenario, each hop's delivered frames
 and bytes sent, and the sink's log as columns (a hop carries what the hop
@@ -26,19 +28,19 @@ wire resolution plus the sink's own reading, built per block from the same
 readings; the sink's noise words are drawn per block too, and only libm's
 sin/log/cos run per row.  The reference engine is the differential oracle of
 the tests and, on every pass, a canary: the counting engine replays its first
-round once for all scenarios, each scenario's link stream prefix folded once
-per call, and raises RuntimeError unless its own result for that round equals
+round once for all runs, each run's link stream prefix folded once per
+call, and raises RuntimeError unless its own result for that round equals
 the replay's.
 
-A run is one pass in this process, in blocks of rounds whose size depends
-only on the line's length and the number of turbidities.  Only
-run_scenario keeps a workers keyword, for API callers: it is checked but
-changes neither the blocks, the speed nor the output.  A sweep's
-turbidities share one sensor profile, and readings, frame lengths and node
-states do not depend on turbidity or seed, so a sweep takes each block's
-readings, and steps the canary's nodes, once for every turbidity; the link
-words are keyed by (seed, round, hop) alone, so one draw per block serves
-every turbidity.
+run_scenario and sweep are each one pass in this process, in blocks of
+rounds whose size depends only on the line's length and the number of
+turbidities.  Only run_scenario keeps a workers keyword, for API callers:
+it is checked but changes neither the blocks, the speed nor the output.  A
+sweep's turbidities share one sensor profile, and readings, frame lengths
+and node states do not depend on turbidity or seed, so a sweep takes each
+block's readings, and builds and steps the canary's nodes, once for every
+turbidity; the link words are keyed by (seed, round, hop) alone, so one
+draw per block serves every turbidity.
 """
 
 from __future__ import annotations
@@ -109,14 +111,15 @@ class Topology:
     def hop_count(self) -> int:
         return len(self.links)
 
+    def links_at(self, turbidity_ntu: float) -> tuple[LinkSpec, ...]:
+        """The line's links, each at turbidity_ntu."""
+        return tuple(LinkSpec(l.distance_m, turbidity_ntu, l.extra_loss) for l in self.links)
+
     def with_turbidity(self, turbidity_ntu: float) -> "Topology":
-        links = tuple(
-            LinkSpec(l.distance_m, turbidity_ntu, l.extra_loss) for l in self.links
-        )
-        return Topology(self.node_ids, self.auth_keys, links)
+        return Topology(self.node_ids, self.auth_keys, self.links_at(turbidity_ntu))
 
     def node_states(self, profile: nd.SensorProfile) -> list[nd.NodeState]:
-        """Every node's idle state, in line order.
+        """Every node's idle state, in line order, on its checked NodeIdentity.
 
         The first node originates, the last is the sink and the rest relay;
         each node expects the keys of all nodes upstream of it.
@@ -125,7 +128,7 @@ class Topology:
         roles = [nd.NodeRole.ORIGINATOR, *relays, nd.NodeRole.SINK]
         nodes = zip(self.node_ids, roles, self.auth_keys)
         return [
-            nd.NodeState(nid, role, key, self.auth_keys[:i], profile)
+            nd.NodeState(nd.NodeIdentity(nid, role, key, self.auth_keys[:i], profile))
             for i, (nid, role, key) in enumerate(nodes)
         ]
 
@@ -226,7 +229,8 @@ def scenario_seed(root_seed: int, turbidity_ntu: float) -> int:
 
 
 def _simulate_rounds(
-    scenarios: list[tuple[Topology, int]],
+    line: Topology,
+    runs: list[tuple[tuple[LinkSpec, ...], int]],
     params: ChannelParams,
     first_round: int,
     last_round: int,
@@ -234,22 +238,22 @@ def _simulate_rounds(
     profile: nd.SensorProfile,
     collect_monitor: bool,
 ) -> list[tuple[list[int], list[int], list[list] | None]]:
-    """Simulate rounds [first_round, last_round) of each (topology, seed) of
-    scenarios (same node ids and keys); returns each one's delivered frames
-    and frame bytes sent per hop, and monitor_log or None.  node.step
-    never sees the channel, so the scenarios live at a hop share its node
-    states and frame: the nodes step once for all of them."""
+    """Simulate rounds [first_round, last_round) of line's nodes over each
+    (links, seed) of runs, one link per hop of line; returns each run's
+    delivered frames and frame bytes sent per hop, and monitor_log or None.
+    node.step never sees the channel, so the runs live at a hop share its
+    node states and frame: the nodes step once for all of them."""
     # NodeStates are immutable values: every round starts from the same
-    # idle template, so the list is rebuilt by copy, not reconstruction.
-    template = scenarios[0][0].node_states(profile)
-    hops, width = len(template) - 1, len(template) + 2  # width: log columns
-    runs = [(t.links, derive_state(s, _LINK_STREAM_TAG), [0] * hops, [0] * hops,
-             [[] for _ in range(width)] if collect_monitor else None)
-            for t, s in scenarios]
+    # idle template, whose identities line.node_states checks once per call.
+    template = line.node_states(profile)
+    hops, width = line.hop_count, len(template) + 2  # width: log columns
+    tallies = [(links, derive_state(s, _LINK_STREAM_TAG), [0] * hops, [0] * hops,
+                [[] for _ in range(width)] if collect_monitor else None)
+               for links, s in runs]
 
     for rnd in range(first_round, last_round):
         states = list(template)
-        live = runs
+        live = tallies
         for h in range(hops):
             start = nd.slot_start(rnd, h, hops, slot_duration)
             end = nd.SlotEnd(start + slot_duration)  # ends the tx and the rx slot
@@ -260,17 +264,17 @@ def _simulate_rounds(
             )
             if data is None:
                 raise RuntimeError(
-                    f"node {states[h].node_id} had nothing to transmit in a live round"
+                    f"node {line.node_ids[h]} had nothing to transmit in a live round"
                 )
             arrived = []
-            for run in live:
-                links, prefix, delivered, frame_bytes_sum, _ = run
+            for tally in live:
+                links, prefix, delivered, frame_bytes_sum, _ = tally
                 frame_bytes_sum[h] += len(data)
                 stream = Substream(prefix, rnd, h)
                 rx_data, corrupted = transmit_over_link(data, links[h], params, stream)
                 if not corrupted:
                     delivered[h] += 1
-                    arrived.append(run)
+                    arrived.append(tally)
                     intact = rx_data
             live = arrived
             if not live:
@@ -283,18 +287,18 @@ def _simulate_rounds(
                 if isinstance(act, nd.DropPacket):
                     raise RuntimeError(
                         f"uncorrupted frame dropped at node "
-                        f"{rx_state.node_id}: {act.reason.value} {act.detail}"
+                        f"{line.node_ids[h + 1]}: {act.reason.value} {act.detail}"
                     )
                 if isinstance(act, nd.DeliverToMonitor) and collect_monitor:
                     temps = [r.temperature_c for r in act.frame.records]
-                    for run in live:
-                        for column, value in zip(run[-1], [rnd, act.time, *temps]):
+                    for tally in live:
+                        for column, value in zip(tally[-1], [rnd, act.time, *temps]):
                             column.append(value)
-    return [run[2:] for run in runs]
+    return [tally[2:] for tally in tallies]
 
 
 def _readings(
-    topology: Topology,
+    line: Topology,
     rnd: np.ndarray,
     slot_duration: float,
     profile: nd.SensorProfile,
@@ -304,12 +308,12 @@ def _readings(
     Returns (clocks, raw): clocks of shape (rounds, nodes), raw the
     transmitters' fixed-point readings, of shape (rounds, hops).
     """
-    hops = topology.hop_count
+    hops = line.hop_count
     # The originator reads at its tx slot start, a relay or the sink at the
     # end of its rx slot.
     starts = nd.slot_start(rnd[:, None], np.arange(hops), hops, slot_duration)
     clocks = np.column_stack((starts[:, 0], starts + slot_duration))
-    ids = np.array(topology.node_ids[:-1])
+    ids = np.array(line.node_ids[:-1])
     return clocks, nd.sensor_raw(ids, clocks[:, :-1], profile)
 
 
@@ -361,7 +365,7 @@ def _block_outcomes(
 
 
 def _monitor_columns(
-    topology: Topology,
+    line: Topology,
     rnd: np.ndarray,
     clocks: np.ndarray,
     raw: np.ndarray,
@@ -379,12 +383,13 @@ def _monitor_columns(
     done = np.nonzero(delivered[:, -1])[0]
     times = clocks[done, -1]
     temps = fr.raw_to_temperature(raw[done]).T.tolist()
-    sink = nd.sensor_temperatures(topology.node_ids[-1], times, profile)
+    sink = nd.sensor_temperatures(line.node_ids[-1], times, profile)
     return [rnd[done].tolist(), times.tolist(), *temps, sink]
 
 
 def _count_rounds(
-    scenarios: list[tuple[Topology, int]],
+    line: Topology,
+    runs: list[tuple[tuple[LinkSpec, ...], int]],
     params: ChannelParams,
     first_round: int,
     last_round: int,
@@ -392,33 +397,34 @@ def _count_rounds(
     profile: nd.SensorProfile,
     collect_monitor: bool = False,
 ) -> list[tuple[list[int], list[int], list[list] | None]]:
-    """_simulate_rounds of each (topology, seed) of scenarios (same node ids),
-    in blocks of _BLOCK_CELLS (scenario, round, hop) cells, at least one
-    round, two count arrays per block: every scenario reads the one sensor
+    """_simulate_rounds of line over each (links, seed) of runs, in blocks
+    of _BLOCK_CELLS (run, round, hop) cells, at least one round, two count
+    arrays per block: every run has line's nodes and reads the one sensor
     profile (sweep's and run_scenario's default: SensorProfile of the root
     seed), so a block's readings and frame lengths serve them all, one draw
     covers them all, and one replay of the first round is every one's canary.
     An out-of-range record raises at the earliest round that encodes one, then
-    the first such scenario in list order.  Seeds are taken modulo 2**64."""
-    topology = scenarios[0][0]
-    hops = topology.hop_count
-    bers = np.array([[link_ber(params, l) for l in t.links] for t, _ in scenarios])
-    seeds = np.array([seed_word(s) for _, s in scenarios], dtype=np.uint64)
-    totals = np.zeros((len(scenarios), 2, hops), np.int64)
-    width = len(topology.node_ids) + 2
-    logs = [[[] for _ in range(width)] if collect_monitor else None for _ in scenarios]
-    block = max(1, _BLOCK_CELLS // (len(scenarios) * hops))
+    the first such run in list order.  Seeds are taken modulo 2**64."""
+    hops = line.hop_count
+    bers = np.array([[link_ber(params, l) for l in links] for links, _ in runs])
+    seeds = np.array([seed_word(s) for _, s in runs], dtype=np.uint64)
+    totals = np.zeros((len(runs), 2, hops), np.int64)
+    width = len(line.node_ids) + 2
+    logs = [[[] for _ in range(width)] if collect_monitor else None for _ in runs]
+    block = max(1, _BLOCK_CELLS // (len(runs) * hops))
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
-        clocks, raw = _readings(topology, rnd, slot_duration, profile)
-        nbytes = fr.hop_frame_lengths(topology.node_ids[:-1], raw)
+        clocks, raw = _readings(line, rnd, slot_duration, profile)
+        nbytes = fr.hop_frame_lengths(line.node_ids[:-1], raw)
+        if nbytes.max() > fr.worst_case_frame_length(hops):  # what the slot fits
+            raise RuntimeError(f"rounds from {lo}: a frame longer than the worst case")
         valid = fr.raw_in_range(raw)
         delivered, sent, bad = _block_outcomes(bers, seeds, rnd, nbytes, valid)
         if bad.any():
             # The reference engine raises RecordOutOfRange on this round: the
-            # earliest bad one, then the first bad scenario in list order.
+            # earliest bad one, then the first bad run in list order.
             r, i = np.argwhere(bad.any(axis=2).T)[0].tolist()
-            _simulate_rounds([scenarios[i]], params, lo + r, lo + r + 1,
+            _simulate_rounds(line, [runs[i]], params, lo + r, lo + r + 1,
                              slot_duration, profile, False)
             raise RuntimeError(
                 f"round {lo + r}: counting engine saw an out-of-range record"
@@ -428,7 +434,7 @@ def _count_rounds(
         totals[:, 1] += ones @ sent
         for log, done in zip(logs, delivered):
             if log is not None:
-                new = _monitor_columns(topology, rnd, clocks, raw, done, profile)
+                new = _monitor_columns(line, rnd, clocks, raw, done, profile)
                 for column, more in zip(log, new):
                     column.extend(more)
         if lo == first_round:
@@ -439,7 +445,7 @@ def _count_rounds(
                 for c, log in zip(first, logs)
             ]
             canary = _simulate_rounds(
-                scenarios, params, lo, lo + 1, slot_duration, profile, collect_monitor
+                line, runs, params, lo, lo + 1, slot_duration, profile, collect_monitor
             )
             if head != canary:
                 raise RuntimeError(
@@ -450,7 +456,8 @@ def _count_rounds(
 
 
 def _reports(
-    scenarios: list[tuple[Topology, int]],
+    line: Topology,
+    runs: list[tuple[tuple[LinkSpec, ...], int]],
     params: ChannelParams,
     rounds: int,
     profile: nd.SensorProfile,
@@ -458,23 +465,22 @@ def _reports(
     bit_rate: float = nd.DEFAULT_BIT_RATE,
     collect_monitor: bool = False,
 ) -> list[PsrReport]:
-    """run_scenario of each (topology, seed) of scenarios, in one pass."""
+    """run_scenario of line over each (links, seed) of runs, in one pass."""
     rounds = as_int(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    node_ids = scenarios[0][0].node_ids
     if slot_duration is None:
-        slot_duration = nd.min_slot_duration(len(node_ids), bit_rate)
+        slot_duration = nd.min_slot_duration(len(line.node_ids), bit_rate)
     # schedule's slot check, SlotTooShort included; both engines clock with
     # the checked float, placing round r's windows as schedule(..., r) does.
-    slot_duration = nd.checked_slot(len(node_ids), slot_duration, bit_rate)
+    slot_duration = nd.checked_slot(len(line.node_ids), slot_duration, bit_rate)
 
     counted = _count_rounds(
-        scenarios, params, 0, rounds, slot_duration, profile, collect_monitor
+        line, runs, params, 0, rounds, slot_duration, profile, collect_monitor
     )
     reports = []
-    for (topology, seed), (delivered, sent, log) in zip(scenarios, counted):
-        per_hop = zip(topology.links, [rounds, *delivered[:-1]], delivered, sent)
+    for (links, seed), (delivered, sent, log) in zip(runs, counted):
+        per_hop = zip(links, [rounds, *delivered[:-1]], delivered, sent)
         hop_stats = [
             HopStats(
                 hop_index=h,
@@ -488,7 +494,7 @@ def _reports(
             )
             for h, (link, a, d, f) in enumerate(per_hop)
         ]
-        ntu, *other_ntu = {l.turbidity_ntu for l in topology.links}
+        ntu, *other_ntu = {l.turbidity_ntu for l in links}
         report_ntu = float("nan") if other_ntu else ntu
         reports.append(PsrReport(report_ntu, rounds, seed, hop_stats, log))
     return reports
@@ -520,8 +526,8 @@ def run_scenario(
         raise ValueError("workers must be >= 1")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(
-        [(topology, seed)], params, rounds, profile, slot_duration, bit_rate,
-        collect_monitor,
+        topology, [(topology.links, seed)], params, rounds, profile, slot_duration,
+        bit_rate, collect_monitor,
     )[0]
 
 
@@ -546,10 +552,10 @@ def sweep(
     seed), run_scenario's default for the root seed, so the sweep is one
     counting pass and takes each block's readings once.
     """
-    scenarios = [(topology.with_turbidity(t), scenario_seed(seed, t)) for t in turbidities]
-    if not scenarios:
+    runs = [(topology.links_at(t), scenario_seed(seed, t)) for t in turbidities]
+    if not runs:
         raise ValueError("need at least one turbidity")
     profile = profile if profile is not None else nd.SensorProfile(seed=seed)
     return _reports(
-        scenarios, params, rounds, profile, slot_duration, bit_rate, collect_monitor
+        topology, runs, params, rounds, profile, slot_duration, bit_rate, collect_monitor
     )

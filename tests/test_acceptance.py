@@ -272,7 +272,7 @@ def test_criterion_6_relay_invariant_suite():
     frame_bytes = fr.encode_frame(fr.Frame((180,), (fr.SensorRecord(0, 20.5),)))
     checked = 0
     for idle in linear_topology(range(3)).node_states(profile):
-        role = idle.role
+        role = idle.identity.role
         for _ in range(100):
             state = idle
             clock = 0.0

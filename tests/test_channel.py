@@ -338,6 +338,10 @@ def test_calibrate_input_validation():
     for psr in (0.0, 1.0):
         with pytest.raises(ValueError, match="target_psr"):
             CalibrationTarget(0.01, 16.0, 4, psr)
+    with pytest.raises(ValueError, match="turbidity_ntu must be >= 0"):
+        CalibrationTarget(-1.0, 16.0, 4, 0.95)
+    with pytest.raises(ValueError, match="total_distance_m must be > 0"):
+        CalibrationTarget(0.01, 0.0, 4, 0.95)
 
 
 def test_calibrate_diverges_on_contradictory_targets():

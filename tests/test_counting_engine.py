@@ -11,7 +11,6 @@ it whole, and its result without the log must hold the same counts.
 
 import functools
 import math
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,12 +43,12 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
 
 
 @functools.cache
-def reference_rounds(scenarios, params, first, last, slot, profile):
-    """The reference engine's rounds [first, last) of a tuple of (topology,
-    seed) scenarios, with the log, stepped once per case and shared by every
-    test that compares against it (callers must not mutate it)."""
+def reference_rounds(line, runs, params, first, last, slot, profile):
+    """The reference engine's rounds [first, last) of line over a tuple of
+    (links, seed) runs, with the log, stepped once per case and shared by
+    every test that compares against it (callers must not mutate it)."""
     return sim._simulate_rounds(
-        list(scenarios), params, first, last, slot, profile, True
+        line, list(runs), params, first, last, slot, profile, True
     )
 
 
@@ -59,8 +58,8 @@ def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
     engine's (delivered, frame_bytes_sum, log)."""
     profile = profile if profile is not None else SensorProfile(seed=seed)
     slot = min_slot_duration(len(topo.node_ids))
-    args = ([(topo, seed)], params, first, first + rounds, slot, profile)
-    [stepped] = reference_rounds(((topo, seed),), *args[1:])
+    args = (topo, [(topo.links, seed)], params, first, first + rounds, slot, profile)
+    [stepped] = reference_rounds(topo, ((topo.links, seed),), *args[2:])
     [counted] = sim._count_rounds(*args, True)
     assert counted == stepped
     assert sim._count_rounds(*args, False) == [(*counted[:2], None)]
@@ -288,9 +287,9 @@ def test_one_canary_round_per_run(workers, monkeypatch):
     simulate = sim._simulate_rounds
     replayed = []
 
-    def counted(scenarios, params, first_round, last_round, *rest):
+    def counted(line, runs, params, first_round, last_round, *rest):
         replayed.append(last_round - first_round)
-        return simulate(scenarios, params, first_round, last_round, *rest)
+        return simulate(line, runs, params, first_round, last_round, *rest)
 
     monkeypatch.setattr(sim, "_simulate_rounds", counted)
     split_1001_rounds(monkeypatch, 7)
@@ -509,9 +508,9 @@ def test_schedule_windows_are_the_reference_engines_slot_times(nodes, monkeypatc
 
     def recording(state, event):
         if isinstance(event, nd.SlotStart):
-            events.append(("start", state.node_id, event.kind, event.time))
+            events.append(("start", state.identity.node_id, event.kind, event.time))
         elif isinstance(event, nd.SlotEnd):
-            events.append(("end", state.node_id, event.time))
+            events.append(("end", state.identity.node_id, event.time))
         return original(state, event)
 
     monkeypatch.setattr(nd, "step", recording)
@@ -519,7 +518,7 @@ def test_schedule_windows_are_the_reference_engines_slot_times(nodes, monkeypatc
     slot = min_slot_duration(nodes)
     clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
     [(delivered, *_)] = sim._simulate_rounds(
-        [(topo, 3)], clean, 1, 200, slot, SensorProfile(seed=3), False
+        topo, [(topo.links, 3)], clean, 1, 200, slot, SensorProfile(seed=3), False
     )
     assert delivered == [199] * (nodes - 1)
     expected = [
@@ -669,21 +668,29 @@ def test_tan_forms_give_exact_raws_at_their_hard_points(profile, monkeypatch):
 
 def test_monitor_rows_take_no_scalar_reading_per_row(monkeypatch):
     # The sink's readings are drawn per block: sample_sensor runs only for
-    # the canary round's state machine and for sensor_raw's tie cells.
-    callers = []
-    original = nd.sample_sensor
+    # the canary round's state machine, at most once per node, and for
+    # sensor_raw's tie cells.
+    calls, in_canary = [], []
+    sample, simulate = nd.sample_sensor, sim._simulate_rounds
 
     def counting(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args)
+        calls.append(bool(in_canary))
+        return sample(*args)
+
+    def canary(*args):
+        in_canary.append(True)
+        try:
+            return simulate(*args)
+        finally:
+            in_canary.pop()
 
     monkeypatch.setattr(nd, "sample_sensor", counting)
+    monkeypatch.setattr(sim, "_simulate_rounds", canary)
     topo = linear_topology(range(5), turbidity_ntu=0.01)
     report = run_scenario(topo, ANCHOR, 2000, seed=1, collect_monitor=True)
     assert len(report.monitor_log[0]) > 1800
-    assert set(callers) <= {"step", "sensor_raw"}
-    assert callers.count("step") <= len(topo.node_ids)
-    assert len(callers) < 20
+    assert 0 < calls.count(True) <= len(topo.node_ids)
+    assert len(calls) < 20
 
 
 # --- RecordOutOfRange parity ------------------------------------------------------
@@ -857,9 +864,9 @@ def test_sweep_takes_each_blocks_readings_once(monitor, monkeypatch):
         block_rounds.append(len(rnd))
         return readings(topology, rnd, *rest)
 
-    def counted_replays(scenarios, params, first_round, last_round, *rest):
-        replayed.append(([seed for _, seed in scenarios], first_round, last_round))
-        return simulate(scenarios, params, first_round, last_round, *rest)
+    def counted_replays(line, runs, params, first_round, last_round, *rest):
+        replayed.append(([seed for _, seed in runs], first_round, last_round))
+        return simulate(line, runs, params, first_round, last_round, *rest)
 
     monkeypatch.setattr(sim, "_readings", counted_readings)
     monkeypatch.setattr(sim, "_simulate_rounds", counted_replays)
@@ -876,16 +883,16 @@ def test_shared_replay_equals_one_replay_per_scenario(monitor):
     # the last scenario's hop 0 (5 m) rarely delivers, so it is often the
     # last one drawn while the others are still live.
     topo, profile = linear_topology(range(5)), SensorProfile(seed=9)
-    scenarios = [(topo.with_turbidity(t), sim.scenario_seed(9, t)) for t in SWEEP_NTU]
+    runs = [(topo.links_at(t), sim.scenario_seed(9, t)) for t in SWEEP_NTU]
     rare = linear_topology(range(5), link_distance_m=(5, 4, 4, 4), turbidity_ntu=70.0)
-    scenarios.append((rare, 9))
+    runs.append((rare.links, 9))
     args = (ANCHOR, 0, 300, min_slot_duration(5), profile)
-    shared = reference_rounds(tuple(scenarios), *args)
-    assert shared == [reference_rounds((s,), *args)[0] for s in scenarios]
+    shared = reference_rounds(topo, tuple(runs), *args)
+    assert shared == [reference_rounds(topo, (r,), *args)[0] for r in runs]
     assert 0 < shared[-1][0][0] < 100  # hop 0 of the rare line
     assert all(log[0] for *_, log in shared)
     expected = shared if monitor else [(*run[:2], None) for run in shared]
-    assert sim._count_rounds(scenarios, *args, monitor) == expected
+    assert sim._count_rounds(topo, runs, *args, monitor) == expected
 
 
 def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
@@ -895,7 +902,7 @@ def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
     original = nd.step
 
     def counted(state, event):
-        steps.append(state.node_id)
+        steps.append(state.identity.node_id)
         return original(state, event)
 
     def node_steps(turbidities):
@@ -907,6 +914,17 @@ def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):
     monkeypatch.setattr(nd, "step", counted)
     alone = [node_steps([t]) for t in SWEEP_NTU]
     assert node_steps(SWEEP_NTU) == max(alone) > 0
+
+
+def test_sweep_checks_each_node_identity_once(post_inits):
+    # a sweep builds each turbidity's links, not a Topology, and the canary
+    # builds each node's identity once for every turbidity
+    topo = linear_topology(range(5))
+    topologies, identities = post_inits(sim.Topology), post_inits(nd.NodeIdentity)
+    swept = sim.sweep(topo, ANCHOR, SWEEP_NTU, 50, 0, profile=SensorProfile(seed=0))
+    assert [r.turbidity_ntu for r in swept] == SWEEP_NTU
+    assert topologies == []
+    assert [i.node_id for i in identities] == list(topo.node_ids)
 
 
 def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
@@ -957,8 +975,8 @@ def test_batched_draw_equals_one_turbidity_sweeps_on_a_hard_line():
     assert 0 < delivered[2][-1] < delivered[1][-1] < delivered[1][-8] < 400
     # and the reference engine, stepping the nodes once for all four
     args = (0, 400, min_slot_duration(30), ESCAPE_HEAVY, True)
-    scenarios = [(line, sim.scenario_seed(7, t)) for line, t in zip(lines, HARD_NTU)]
-    stepped_runs = sim._simulate_rounds(scenarios, HARD_CHANNEL, *args)
+    runs = [(line.links, sim.scenario_seed(7, t)) for line, t in zip(lines, HARD_NTU)]
+    stepped_runs = sim._simulate_rounds(HARD_LINE, runs, HARD_CHANNEL, *args)
     for report, (*stepped, log) in zip(swept, stepped_runs):
         assert hop_fields(report) == stepped_fields(400, *stepped)
         assert report.monitor_log == log

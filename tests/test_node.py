@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from uwocnet import frame as fr
@@ -10,6 +11,7 @@ from uwocnet.node import (
     DeliverToMonitor,
     DropPacket,
     DropReason,
+    NodeIdentity,
     NodeRole,
     NodeState,
     Phase,
@@ -29,15 +31,15 @@ QUIET = SensorProfile(baseline_c=20.0, amplitude_c=0.0, noise_std_c=0.0)
 
 
 def originator(profile=QUIET) -> NodeState:
-    return NodeState(0, NodeRole.ORIGINATOR, 180, (), profile)
+    return NodeState(NodeIdentity(0, NodeRole.ORIGINATOR, 180, (), profile))
 
 
 def relay(profile=QUIET) -> NodeState:
-    return NodeState(1, NodeRole.RELAY, 170, (180,), profile)
+    return NodeState(NodeIdentity(1, NodeRole.RELAY, 170, (180,), profile))
 
 
 def sink(profile=QUIET) -> NodeState:
-    return NodeState(2, NodeRole.SINK, 154, (180, 170), profile)
+    return NodeState(NodeIdentity(2, NodeRole.SINK, 154, (180, 170), profile))
 
 
 # --- sensor -------------------------------------------------------------------
@@ -192,7 +194,7 @@ def test_frame_with_fewer_records_than_keys_is_dropped(role):
     # two keys, one record: decode_frame accepts it, the relay invariant does not
     data = bytes.fromhex("ff50b4aa7d203b8000")
     assert len(fr.decode_frame(data, (180, 170)).records) == 1
-    state = NodeState(2, role, 154, (180, 170), QUIET)
+    state = NodeState(NodeIdentity(2, role, 154, (180, 170), QUIET))
     state, _ = step(state, SlotStart("rx", 0.0))
     state, _ = step(state, BytesArrived(data, 0.5))
     state, actions = step(state, SlotEnd(1.0))
@@ -286,9 +288,9 @@ def test_role_safety_over_random_event_logs():
                     state, actions = step(state, event)
                 except ProtocolViolation:
                     continue
-                if state.role is NodeRole.ORIGINATOR:
+                if state.identity.role is NodeRole.ORIGINATOR:
                     assert state.rx_buffer == b""
-                if state.role is NodeRole.SINK:
+                if state.identity.role is NodeRole.SINK:
                     assert not any(isinstance(a, TransmitBytes) for a in actions)
 
 
@@ -356,10 +358,27 @@ def test_schedule_validation():
         schedule(range(3), 0.0, 0)
 
 
-def test_node_state_validation():
+def test_node_identity_validation():
     with pytest.raises(ValueError):
-        NodeState(0, NodeRole.ORIGINATOR, 180, (170,))
+        NodeIdentity(0, NodeRole.ORIGINATOR, 180, (170,))
     with pytest.raises(ValueError):
-        NodeState(1, NodeRole.RELAY, 170, ())
+        NodeIdentity(1, NodeRole.RELAY, 170, ())
     with pytest.raises(ValueError):
-        NodeState(0, NodeRole.ORIGINATOR, 0, ())
+        NodeIdentity(0, NodeRole.ORIGINATOR, 0, ())
+    # the id and the upstream chain are checked too, and held as Python ints
+    with pytest.raises(ValueError, match="node id"):
+        NodeIdentity(255, NodeRole.ORIGINATOR, 180, ())
+    with pytest.raises(ValueError, match="auth key"):
+        NodeIdentity(1, NodeRole.RELAY, 170, (180, 0xFF))
+    identity = NodeIdentity(np.int64(1), NodeRole.RELAY, np.uint8(170), [np.int64(180)])
+    assert identity == NodeIdentity(1, NodeRole.RELAY, 170, (180,))
+    assert type(identity.node_id) is int and type(identity.own_key) is int
+    assert [type(k) for k in identity.expected_upstream_keys] == [int]
+
+
+def test_node_state_refuses_anything_but_an_identity():
+    identity = relay().identity
+    assert NodeState(identity).identity is identity
+    for fake in (None, (1, NodeRole.RELAY, 170, (180,)), object()):
+        with pytest.raises(TypeError, match="NodeIdentity"):
+            NodeState(fake)

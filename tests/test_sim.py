@@ -50,7 +50,7 @@ def lossy_params(per_hop_psr: float, frame_bytes: int = 12) -> ChannelParams:
 def test_linear_topology_roles_and_defaults():
     topo = linear_topology(range(5), turbidity_ntu=3.0)
     assert topo.auth_keys == (180, 170, 154, 140, 120)
-    states = topo.node_states(QUIET)
+    states = [s.identity for s in topo.node_states(QUIET)]
     assert [s.node_id for s in states] == [0, 1, 2, 3, 4]
     assert [s.own_key for s in states] == list(topo.auth_keys)
     assert [s.role for s in states] == [
@@ -61,7 +61,7 @@ def test_linear_topology_roles_and_defaults():
     ]
     assert all(s.profile is QUIET for s in states)
     pair = linear_topology([9, 7], auth_keys=[33, 44]).node_states(QUIET)
-    assert [(s.role, s.expected_upstream_keys) for s in pair] == [
+    assert [(s.identity.role, s.identity.expected_upstream_keys) for s in pair] == [
         (NodeRole.ORIGINATOR, ()), (NodeRole.SINK, (33,))
     ]
     assert topo.hop_count == 4
@@ -72,13 +72,15 @@ def test_linear_topology_roles_and_defaults():
     hetero = linear_topology(
         range(3), link_distance_m=(3.0, 5.0), extra_loss=(0.5, 1.0)
     )
-    assert hetero.with_turbidity(70.0).links == (
+    assert hetero.with_turbidity(70.0).links == hetero.links_at(70.0) == (
         LinkSpec(3.0, 70.0, 0.5), LinkSpec(5.0, 70.0, 1.0)
     )
     # and every LinkSpec check still runs
     for bad in (math.nan, -1.0):
         with pytest.raises(ValueError, match="turbidity_ntu"):
             hetero.with_turbidity(bad)
+        with pytest.raises(ValueError, match="turbidity_ntu"):
+            hetero.links_at(bad)
 
 
 def test_linear_topology_per_link_distances():

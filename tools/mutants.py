@@ -61,8 +61,8 @@ MUTANTS = [
     ("first_threshold_table_for_all", SIM,
      "for line in bers.tolist()", "for line in bers[:1].tolist()", 20),
     ("unmasked_seed_array", SIM,
-     "np.array([seed_word(s) for _, s in scenarios], dtype=np.uint64)",
-     "np.array([s for _, s in scenarios], dtype=np.uint64)", 20),
+     "np.array([seed_word(s) for _, s in runs], dtype=np.uint64)",
+     "np.array([s for _, s in runs], dtype=np.uint64)", 20),
     ("chunks_of_1023_bits_in_sim", SIM,
      "_BLOCK_CELLS = 1 << 16\n", "_BLOCK_CELLS = 1 << 16\nBINOMIAL_CHUNK = 1023\n", 21),
     ("sine_form_full_angle", NODE,
@@ -94,7 +94,7 @@ MUTANTS = [
     ("attempted_from_next_hop", SIM,
      "[rounds, *delivered[:-1]]", "[rounds, *delivered[1:]]", 29),
     ("engine_slot_unchecked", SIM,
-     "nd.checked_slot(len(node_ids), slot_duration, bit_rate)",
+     "nd.checked_slot(len(line.node_ids), slot_duration, bit_rate)",
      'nd.as_float(slot_duration, "slot_duration")', 30),
     ("slot_fit_unchecked", NODE,
      "if needed > slot:", "if False:", 30),
@@ -102,6 +102,17 @@ MUTANTS = [
      "if type(value) is float and math.isfinite(value):", "if type(value) is float:", 30),
     ("stuffing_without_escape_byte", FRAME,
      "for b in (ESCAPE_BYTE, 0x00, 0xFF)", "for b in (0x00, 0xFF)", 30),
+    ("identity_unchecked", NODE,
+     "if type(self.identity) is not NodeIdentity:", "if False:", 32),
+    # LinkSpec has the same turbidity lines: the distance check next to
+    # them makes the old text CalibrationTarget's alone
+    ("target_turbidity_unchecked", CHANNEL,
+     "if self.turbidity_ntu < 0:\n            raise ValueError(\"turbidity_ntu must be >= 0\")\n"
+     "        if self.total_distance_m <= 0:",
+     "if False:\n            raise ValueError(\"turbidity_ntu must be >= 0\")\n"
+     "        if self.total_distance_m <= 0:", 32),
+    ("target_distance_unchecked", CHANNEL,
+     "if self.total_distance_m <= 0:", "if False:", 32),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
