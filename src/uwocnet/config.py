@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 from .channel import ChannelParams
-from .node import DEFAULT_BIT_RATE, SensorProfile, min_slot_duration, schedule
+from .node import DEFAULT_BIT_RATE, SensorProfile, checked_slot, min_slot_duration
 from .rng import as_int
 from .sim import DEFAULT_LINK_DISTANCE_M, Topology, linear_topology
 
@@ -67,12 +67,11 @@ class ScenarioConfig:
                 raise ValidationError(key, f"must be a {kind.__name__}")
         if any(link.turbidity_ntu for link in self.line.links):
             raise ValidationError("topology", "every link must be at 0 NTU")
-        ids = self.line.node_ids
-        _checked("channel.bit_rate", min_slot_duration, len(ids), self.bit_rate)
+        nodes = len(self.line.node_ids)
+        _checked("channel.bit_rate", min_slot_duration, nodes, self.bit_rate)
         slot = self.slot_duration_s
         if slot is not None:
-            _checked("traffic.slot_duration", schedule, ids, slot, 0, self.bit_rate)
-            slot = float(slot)
+            slot = _checked("traffic.slot_duration", checked_slot, nodes, slot, self.bit_rate)
         if as_int(self.rounds, "rounds") < 1:
             raise ValidationError("traffic.rounds", "rounds must be >= 1")
         path = self.output_path  # parse_config reads it back as one stripped line
@@ -166,15 +165,8 @@ def parse_config(text: str) -> ScenarioConfig:
                 lines[key], f"{key}: cannot parse {raw[key]!r} as {convert.__name__}"
             ) from None
 
-    def numbers(key: str, default):
-        if key not in raw:
-            return default
-        try:
-            return tuple(float(v) for v in _split_list(raw[key]))
-        except ValueError:
-            raise ParseError(
-                lines[key], f"{key}: cannot parse {raw[key]!r} as numbers"
-            ) from None
+    def numbers(value: str) -> tuple[float, ...]:
+        return tuple(float(v) for v in _split_list(value))
 
     if "topology.nodes" not in raw:
         raise ValidationError("topology.nodes", "required")
@@ -214,8 +206,8 @@ def parse_config(text: str) -> ScenarioConfig:
     slot: float | None = None
     if raw.get("traffic.slot_duration", "auto") != "auto":
         slot = scalar("traffic.slot_duration", float, None)
-    distances = numbers("topology.link_distances", DEFAULT_LINK_DISTANCE_M)
-    losses = numbers("topology.extra_loss", None)
+    distances = scalar("topology.link_distances", numbers, DEFAULT_LINK_DISTANCE_M)
+    losses = scalar("topology.extra_loss", numbers, None)
     bit_rate = scalar("channel.bit_rate", float, DEFAULT_BIT_RATE)
     rounds = scalar("traffic.rounds", int, DEFAULT_ROUNDS)
     args = (node_ids, auth_keys, distances)

@@ -291,6 +291,8 @@ class NodeIdentity:
             raise ValueError("an originator expects no upstream keys")
         if self.role is not _ORIGINATOR and not upstream:
             raise ValueError("relay/sink nodes need the expected upstream key chain")
+        if len({self.own_key, *upstream}) <= len(upstream):
+            raise ValueError("a node's own and upstream keys must be distinct")
 
 
 @dataclass(frozen=True, slots=True)

@@ -322,14 +322,13 @@ def _block_outcomes(
     seeds: np.ndarray,
     rnd: np.ndarray,
     nbytes: np.ndarray,
-    valid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What _simulate_rounds meets on each hop of rounds rnd in each scenario
+) -> tuple[np.ndarray, np.ndarray]:
+    """What the channel does on each hop of rounds rnd in each scenario
     (bers of shape (scenarios, hops), seeds uint64), given each hop's frame
-    length and whether its transmitter's reading is in range.
+    length; whether a reading is in range is _count_rounds' test.
 
-    Returns (delivered, frame bytes sent: none past a lost hop, out-of-range
-    record encoded), each an array of shape (scenarios, rounds, hops).
+    Returns (delivered, frame bytes sent: none past a lost hop), each an
+    array of shape (scenarios, rounds, hops).
     """
     # A hop delivers when Substream.binomial draws zero flips: one uniform
     # per chunk of at most BINOMIAL_CHUNK bits, none above the chunk's
@@ -361,7 +360,7 @@ def _block_outcomes(
     live = np.ones(ok.shape, dtype=bool)
     for h in range(1, len(hop)):
         np.logical_and(live[..., h - 1], ok[..., h - 1], out=live[..., h])
-    return live & ok, live * nbytes, live & ~valid
+    return live & ok, live * nbytes
 
 
 def _monitor_columns(
@@ -403,8 +402,9 @@ def _count_rounds(
     profile (sweep's and run_scenario's default: SensorProfile of the root
     seed), so a block's readings and frame lengths serve them all, one draw
     covers them all, and one replay of the first round is every one's canary.
-    An out-of-range record raises at the earliest round that encodes one, then
-    the first such run in list order.  Seeds are taken modulo 2**64."""
+    The record range is tested here, on the hops that send: an out-of-range
+    record raises at the earliest round that encodes one, then the first such
+    run in list order.  Seeds are taken modulo 2**64."""
     hops = line.hop_count
     bers = np.array([[link_ber(params, l) for l in links] for links, _ in runs])
     seeds = np.array([seed_word(s) for _, s in runs], dtype=np.uint64)
@@ -418,8 +418,8 @@ def _count_rounds(
         nbytes = fr.hop_frame_lengths(line.node_ids[:-1], raw)
         if nbytes.max() > fr.worst_case_frame_length(hops):  # what the slot fits
             raise RuntimeError(f"rounds from {lo}: a frame longer than the worst case")
-        valid = fr.raw_in_range(raw)
-        delivered, sent, bad = _block_outcomes(bers, seeds, rnd, nbytes, valid)
+        delivered, sent = _block_outcomes(bers, seeds, rnd, nbytes)
+        bad = (sent > 0) & ~fr.raw_in_range(raw)  # a live hop sends >= 7 bytes
         if bad.any():
             # The reference engine raises RecordOutOfRange on this round: the
             # earliest bad one, then the first bad run in list order.

@@ -463,8 +463,7 @@ def test_long_frame_outcomes_match_the_binomial_draw():
     seeds = np.array([11, 2**64 - 3, 7], dtype=np.uint64)
     rnd = np.arange(4000, dtype=np.int64)
     nbytes = np.random.default_rng(5).integers(103, 143, size=(len(rnd), 2))
-    valid = np.ones(nbytes.shape, dtype=bool)
-    delivered, sent, _ = sim._block_outcomes(bers, seeds, rnd, nbytes, valid)
+    delivered, sent = sim._block_outcomes(bers, seeds, rnd, nbytes)
     live = sent > 0  # every frame has bytes: a hop sends in each live round
     assert live[..., 0].all() and 0 < live[..., 1].sum() < live[..., 0].sum()
     for k, i, h in np.argwhere(live).tolist():
@@ -762,6 +761,18 @@ def test_far_out_of_range_reading_raises_record_out_of_range(monitor):
                      profile=profile, collect_monitor=monitor)
 
 
+@pytest.mark.parametrize("monitor", [False, True])
+def test_out_of_range_record_raises_even_if_the_replay_does_not(monkeypatch, monitor):
+    # the replay is the oracle that names the error; should it not raise,
+    # the counting engine still returns no counts past the bad record
+    replays = []
+    monkeypatch.setattr(sim, "_simulate_rounds", lambda *args: replays.append(args))
+    clean = ChannelParams(1000.0, 0.0, 0.0, noise_sigma=1e-9)
+    with pytest.raises(RuntimeError, match="round 0: .* out-of-range record"):
+        _run(linear_topology(range(5)), clean, _rising(0.02), monitor)
+    assert len(replays) == 1
+
+
 # --- canary ------------------------------------------------------------------------
 
 
@@ -783,8 +794,8 @@ def test_perturbed_engine_trips_the_canary(monkeypatch):
     original = sim._block_outcomes
 
     def perturbed(*args):
-        delivered, nbytes, bad = original(*args)
-        return delivered, nbytes + 1, bad
+        delivered, nbytes = original(*args)
+        return delivered, nbytes + 1
 
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     with pytest.raises(RuntimeError, match="counting engine"):
@@ -932,9 +943,9 @@ def test_perturbed_second_scenario_trips_the_canary(monkeypatch):
     original = sim._block_outcomes
 
     def perturbed(bers, seeds, *rest):
-        delivered, sent, bad = original(bers, seeds, *rest)
+        delivered, sent = original(bers, seeds, *rest)
         sent[seeds == second] += 1  # the second scenario's (rounds, hops) slice
-        return delivered, sent, bad
+        return delivered, sent
 
     monkeypatch.setattr(sim, "_block_outcomes", perturbed)
     topo, profile = linear_topology(range(5)), SensorProfile(seed=0)

@@ -203,6 +203,20 @@ def test_frame_with_fewer_records_than_keys_is_dropped(role):
     assert state.pending_frame is None
 
 
+def test_a_frame_error_no_drop_reason_names_propagates(monkeypatch):
+    def decode_fails(data, expected_keys):
+        raise fr.FrameError("no drop reason for this")
+
+    monkeypatch.setattr(fr, "decode_frame", decode_fails)
+    state, _ = step(relay(), SlotStart("rx", 0.0))
+    state, _ = step(state, BytesArrived(b"\xff", 0.5))
+    emitted = None
+    with pytest.raises(fr.FrameError, match="no drop reason") as raised:
+        emitted = step(state, SlotEnd(1.0))
+    assert type(raised.value) is fr.FrameError
+    assert emitted is None  # no DropPacket stands in for the error
+
+
 def test_every_relay_transition_returns_a_checked_state(post_inits):
     checked = post_inits(NodeState)
     upstream = fr.encode_frame(fr.Frame((180,), (fr.SensorRecord(0, 19.5),)))
@@ -370,6 +384,11 @@ def test_node_identity_validation():
         NodeIdentity(255, NodeRole.ORIGINATOR, 180, ())
     with pytest.raises(ValueError, match="auth key"):
         NodeIdentity(1, NodeRole.RELAY, 170, (180, 0xFF))
+    # the key chain repeats no key: not the node's own, nor an upstream one
+    with pytest.raises(ValueError, match="distinct"):
+        NodeIdentity(5, NodeRole.RELAY, 170, (180, 170))
+    with pytest.raises(ValueError, match="distinct"):
+        NodeIdentity(5, NodeRole.SINK, 170, (180, 180))
     identity = NodeIdentity(np.int64(1), NodeRole.RELAY, np.uint8(170), [np.int64(180)])
     assert identity == NodeIdentity(1, NodeRole.RELAY, 170, (180,))
     assert type(identity.node_id) is int and type(identity.own_key) is int

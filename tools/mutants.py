@@ -113,6 +113,8 @@ MUTANTS = [
      "        if self.total_distance_m <= 0:", 32),
     ("target_distance_unchecked", CHANNEL,
      "if self.total_distance_m <= 0:", "if False:", 32),
+    ("range_test_on_dead_cells", SIM,
+     "(sent > 0)", "(sent >= 0)", 33),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
