@@ -116,12 +116,10 @@ def _parse_turbidities(args, default=None) -> list[float]:
             return default
         raise UsageError("--turbidity is required (comma-separated NTU list)")
     try:
-        values = [float(v) for v in args.turbidity.split(",") if v.strip()]
+        return [float(v) for v in args.turbidity.split(",")]
     except ValueError:
-        raise UsageError(f"bad --turbidity list: {args.turbidity!r}") from None
-    if not values:
-        raise UsageError("--turbidity list is empty")
-    return values
+        raise UsageError(f"--turbidity must be a comma-separated NTU list, "
+                         f"got {args.turbidity!r}") from None
 
 
 def _parse_target(text: str) -> CalibrationTarget:

@@ -122,7 +122,7 @@ _KNOWN_KEYS = frozenset(
 
 
 def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
+    return [part.strip() for part in value.split(",")]
 
 
 def _checked(key: str, build, *args, **kwargs):

@@ -11,7 +11,7 @@ crossed k nodes carries k keys and k records in hop order.  A receiver
 authenticates by comparing the key chain byte-for-byte against the chain it
 expects for its upstream path.
 
-A sensor record is three payload bytes before escaping::
+A sensor record is three payload bytes before escaping, struct layout ``>BH``::
 
     [node_id] [raw_hi] [raw_lo]      raw = round((temp_C + 40) * 256)
 
@@ -36,6 +36,8 @@ budget both take their lengths from it.
 
 from __future__ import annotations
 
+import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +49,18 @@ SYNC_BYTE = 0x50
 END_BYTE = 0x00
 ESCAPE_BYTE = 0x7D
 ESCAPE_XOR = 0x20
-_ESCAPED = frozenset((0x00, 0xFF, ESCAPE_BYTE))
-# (reserved byte, its escape pair), the escape byte first: escape_payload's order
-_STUFFING = tuple(
-    (bytes((b,)), bytes((ESCAPE_BYTE, b ^ ESCAPE_XOR))) for b in (ESCAPE_BYTE, 0x00, 0xFF)
-)
+_HEADER = bytes((HEADER_BYTE, SYNC_BYTE))
+# The payload bytes that are never bare, the escape byte first: escape_payload's
+# order, so that no pair put in is escaped again.  _STUFFING: (byte, its pair).
+_RESERVED = bytes((ESCAPE_BYTE, 0x00, 0xFF))
+_STUFFING = tuple((bytes((b,)), bytes((ESCAPE_BYTE, b ^ ESCAPE_XOR))) for b in _RESERVED)
+# A malformed payload's first fault: whole pairs and plain bytes, then the
+# first byte that is neither, and the byte after it if there is one.
+_FIRST_FAULT = re.compile(b"(?:%s[%s]|[^%s])*(.)(.)?" % tuple(map(re.escape, (
+    _RESERVED[:1], bytes(b ^ ESCAPE_XOR for b in _RESERVED), _RESERVED))), re.DOTALL)
 # _ESCAPE_COST[b]: the extra bytes that escaping payload byte b costs.
 _ESCAPE_COST = np.zeros(256, dtype=np.int64)
-_ESCAPE_COST[list(_ESCAPED)] = 1
+_ESCAPE_COST[list(_RESERVED)] = 1
 _ESCAPE_COST.flags.writeable = False
 # _VALUE_COST[v]: the cost of both bytes of 16-bit value v, summed in uint8 (64 KiB).
 _VALUE_COST = _ESCAPE_COST.astype(np.uint8)
@@ -67,7 +73,8 @@ KEY_MAX = 0xFE
 TEMP_MIN_C = -40.0
 TEMP_MAX_C = 85.0
 _RAW_MAX = 32000  # (85 + 40) * 256
-_BYTES_PER_RECORD = 3
+_RECORD = struct.Struct(">BH")  # node id, raw
+_BYTES_PER_RECORD = _RECORD.size
 
 # Default key assignment for a five-node line: the first three are the
 # protocol's published example keys, the last two fill out five nodes.
@@ -184,6 +191,8 @@ class Frame:
         keys = tuple(map(validate_auth_key, self.key_chain))
         object.__setattr__(self, "key_chain", keys)
         object.__setattr__(self, "records", tuple(self.records))
+        if not all(type(rec) is SensorRecord for rec in self.records):
+            raise TypeError(f"frame records must be SensorRecords, got {self.records!r}")
         if len(self.key_chain) < 1:
             raise ValueError("frame needs at least one authentication key")
 
@@ -213,46 +222,30 @@ def unescape_payload(data: bytes | bytearray) -> bytes:
     """Invert escape_payload.
 
     Raises MalformedEscape on a dangling escape byte, an escape pair that
-    does not decode to a reserved byte, or a bare reserved byte.  A payload
-    is decoded at C level, each pair replaced, the escape byte's last; it
-    is well formed exactly when escape_payload gives it back, and only a
-    malformed one is walked byte by byte, to name its first fault.
+    does not decode to a reserved byte, or a bare reserved byte: the first
+    fault in payload order.  A payload is decoded at C level, each pair
+    replaced, the escape byte's last; it is well formed exactly when
+    escape_payload gives it back, and only a malformed one is matched
+    against _FIRST_FAULT, to name that fault.
     """
     out = bytes(data)
     for byte, pair in reversed(_STUFFING):
         out = out.replace(pair, byte)
     if escape_payload(out) == data:
         return out
-    i = 0
-    while True:  # data is malformed, so the walk meets a fault before its end
-        b = data[i]
-        if b == ESCAPE_BYTE:
-            if i + 1 >= len(data):
-                raise MalformedEscape("escape byte at end of payload")
-            if data[i + 1] ^ ESCAPE_XOR not in _ESCAPED:
-                raise MalformedEscape(
-                    f"invalid escape pair 0x7D 0x{data[i + 1]:02X}"
-                )
-            i += 2
-        elif b in _ESCAPED:
-            raise MalformedEscape(f"bare reserved byte 0x{b:02X} in payload")
-        else:
-            i += 1
+    fault, after = _FIRST_FAULT.match(data).groups()
+    if fault[0] != ESCAPE_BYTE:
+        raise MalformedEscape(f"bare reserved byte 0x{fault[0]:02X} in payload")
+    if after is None:
+        raise MalformedEscape("escape byte at end of payload")
+    raise MalformedEscape(f"invalid escape pair 0x7D 0x{after[0]:02X}")
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize a frame: header, sync, keys, escaped records, end byte."""
-    out = bytearray((HEADER_BYTE, SYNC_BYTE))
-    out.extend(frame.key_chain)
-    payload = bytearray()
-    for rec in frame.records:
-        raw = temperature_to_raw(rec.temperature_c)
-        payload.append(rec.node_id)
-        payload.append(raw >> 8)
-        payload.append(raw & 0xFF)
-    out.extend(escape_payload(payload))
-    out.append(END_BYTE)
-    return bytes(out)
+    payload = b"".join([_RECORD.pack(rec.node_id, temperature_to_raw(rec.temperature_c))
+                        for rec in frame.records])
+    return _HEADER + bytes(frame.key_chain) + escape_payload(payload) + bytes((END_BYTE,))
 
 
 def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
@@ -268,16 +261,16 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
     expected = tuple(map(validate_auth_key, expected_keys))
     if len(expected) < 1:
         raise ValueError("expected_keys must name at least one key")
-    if len(data) < 2 or data[0] != HEADER_BYTE or data[1] != SYNC_BYTE:
-        got = bytes(data[:2]).hex() if len(data) >= 2 else bytes(data).hex()
-        raise BadHeader(f"frame must start ff 50, got {got or '<empty>'}")
+    if data[:2] != _HEADER:
+        got = data[:2].hex() or "<empty>"
+        raise BadHeader(f"frame must start {_HEADER.hex(' ')}, got {got}")
     for i, want in enumerate(expected):
-        pos = 2 + i
+        pos = len(_HEADER) + i
         if pos >= len(data):
             raise TruncatedFrame(f"frame ends inside key chain (position {i})")
         if data[pos] != want:
             raise AuthMismatch(i, data[pos], want)
-    payload_start = 2 + len(expected)
+    payload_start = len(_HEADER) + len(expected)
     try:
         end = data.index(END_BYTE, payload_start)
     except ValueError:
@@ -285,16 +278,13 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
     payload = unescape_payload(data[payload_start:end])
     if len(payload) % _BYTES_PER_RECORD != 0:
         raise BadPayloadLength(
-            f"payload is {len(payload)} bytes, not a multiple of 3"
+            f"payload is {len(payload)} bytes, not a multiple of {_BYTES_PER_RECORD}"
         )
     records = []
-    for off in range(0, len(payload), _BYTES_PER_RECORD):
-        node_id = payload[off]
-        raw = (payload[off + 1] << 8) | payload[off + 2]
-        if node_id == 0xFF or raw > _RAW_MAX:
-            raise RecordOutOfRange(
-                f"record at payload byte {off}: node id {node_id}, raw {raw}"
-            )
+    for i, (node_id, raw) in enumerate(_RECORD.iter_unpack(payload)):
+        if node_id == 0xFF or not raw_in_range(raw):
+            raise RecordOutOfRange(f"record at payload byte {i * _BYTES_PER_RECORD}: "
+                                   f"node id {node_id}, raw {raw}")
         records.append(SensorRecord(node_id, raw_to_temperature(raw)))
     return Frame(expected, records)
 

@@ -740,6 +740,8 @@ UNRECOGNIZED_WORKERS = "error: unrecognized arguments: --workers"
         # a CSV label, by default the config's stem, holds no CSV syntax
         ("", SWEEP + ["--config", "a,b.cfg"], EXIT_USAGE, "error: CSV label 'a,b'"),
         ("", SWEEP + ["--label", "x\ny"], EXIT_USAGE, "error: CSV label 'x\\ny'"),
+        # no list entry may be empty
+        ("", ["sweep", "--turbidity", "1,,2"], EXIT_USAGE, "error: --turbidity"),
     ],
 )
 def test_bad_input_exits_with_one_error_line(

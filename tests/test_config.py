@@ -146,6 +146,10 @@ def test_bad_node_entries():
         (MINIMAL + "topology.extra_loss = 1, x\n", 3, "as numbers"),
         (MINIMAL + "channel.bit_rate =\n", 3, "empty value"),
         ("topology.nodes = 0:180, x:170\n", 1, "bad node entry 'x:170'"),
+        # no list entry may be empty
+        ("topology.nodes = 0:180,,1:170,2:154\n", 1, "entries are 'id:key', got ''"),
+        (MINIMAL + "topology.link_distances = ,4, 4, 4, 4\n", 3, "as numbers"),
+        (MINIMAL + "topology.extra_loss = 1, 1, 1, 1,\n", 3, "as numbers"),
     ],
 )
 def test_unparsable_values_cite_line(text, line, reason):

@@ -260,6 +260,8 @@ def test_frame_validation():
         Frame((255,))
     with pytest.raises(TypeError):
         Frame((True,))  # bool is no key, though isinstance(True, int)
+    with pytest.raises(TypeError, match="records"):
+        Frame((180,), ((1, 20.0),))  # a (node id, temperature) pair is no SensorRecord
 
 
 def test_numpy_ids_and_keys_are_python_ints():
@@ -319,6 +321,15 @@ def test_decode_roundtrip_1000_random_frames():
 def test_decode_error_taxonomy(data, err):
     with pytest.raises(err):
         decode_frame(data, (180,))
+
+
+def test_decode_names_the_offending_records_offset():
+    # records 1 and 2 are in range; record 3 has raw 32001 (0x7D01, escaped)
+    payload = bytes([1, 0x3C, 0x80, 2, 0x3C, 0x80, 3, 0x7D, 0x01])
+    data = bytes([255, 80, 180]) + escape_payload(payload) + bytes([0])
+    with pytest.raises(RecordOutOfRange) as exc:
+        decode_frame(data, (180,))
+    assert str(exc.value) == "record at payload byte 6: node id 3, raw 32001"
 
 
 def test_decode_validates_expected_keys():

@@ -100,8 +100,9 @@ MUTANTS = [
      "if needed > slot:", "if False:", 30),
     ("float_fast_path_unchecked", RNG,
      "if type(value) is float and math.isfinite(value):", "if type(value) is float:", 30),
+    # the stuffing alone forgets 0x7D: the cost table and fault pattern keep it
     ("stuffing_without_escape_byte", FRAME,
-     "for b in (ESCAPE_BYTE, 0x00, 0xFF)", "for b in (0x00, 0xFF)", 30),
+     "b ^ ESCAPE_XOR))) for b in _RESERVED)", "b ^ ESCAPE_XOR))) for b in _RESERVED[1:])", 30),
     ("identity_unchecked", NODE,
      "if type(self.identity) is not NodeIdentity:", "if False:", 32),
     # LinkSpec has the same turbidity lines: the distance check next to
@@ -115,6 +116,10 @@ MUTANTS = [
      "if self.total_distance_m <= 0:", "if False:", 32),
     ("range_test_on_dead_cells", SIM,
      "(sent > 0)", "(sent >= 0)", 33),
+    ("frame_records_unchecked", FRAME,
+     "if not all(type(rec) is SensorRecord for rec in self.records):", "if False:", 34),
+    ("escape_pair_names_escape_byte", FRAME,
+     "0x7D 0x{after[0]:02X}", "0x7D 0x{fault[0]:02X}", 34),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
