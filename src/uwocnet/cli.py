@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .channel import (
     CalibrationDiverged,
     CalibrationTarget,
@@ -29,7 +31,7 @@ from .config import (
     parse_config,
 )
 from .frame import RecordOutOfRange
-from .sim import PsrReport, sweep
+from .sim import PsrReport, _reports, scenario_seed, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,14 +87,27 @@ def render_psr_csv(reports: list[PsrReport], label: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _monitor_rows(rnd, times, relayed, sink) -> str:
+    """One block's monitor rows (sim._monitor_columns), one %-format each:
+    a relayed temperature is at wire resolution, so few distinct ones are
+    formatted, once each, keyed on bits (on value, -0.0 would merge with 0.0)."""
+    keys, index = np.unique(relayed.view(np.int64), return_inverse=True)
+    text = np.array(["%.6g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    cells = text[index].reshape(relayed.shape).tolist()
+    line = "%d,%.6g" + ",%s" * len(cells) + ",%.6g\n"
+    return "".join([line % row for row in zip(rnd, times, *cells, sink)])
+
+
 def render_monitor_csv(report: PsrReport, node_ids) -> str:
-    """One line per monitor row, each row holding one temperature per node."""
-    header = "round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)
-    # _fmt's spec for every float cell, in one %-format string per row.
-    line = "%d,%.6g" + ",%.6g" * len(node_ids)
-    lines = [header]
-    lines += [line % row for row in zip(*(report.monitor_log or ()))]
-    return "\n".join(lines) + "\n"
+    """One line per monitor row, each row holding one temperature per node:
+    the header, then the whole log as one block."""
+    header = "round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids) + "\n"
+    if not report.monitor_log:
+        return header
+    rnd, times, *relayed, sink = report.monitor_log
+    if len(relayed) + 1 != len(node_ids):
+        raise ValueError(f"need one node id per temperature column, got {node_ids}")
+    return header + _monitor_rows(rnd, times, np.array(relayed, np.float64), sink)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -136,9 +151,9 @@ def _parse_target(text: str) -> CalibrationTarget:
         raise UsageError(f"bad --target {text!r}: {exc}") from None
 
 
-# What a command returns: (default output path, text to write, summary lines).
-# main writes the text to --out or the default and prints the summary.
-CommandOutput = tuple[str, str, list[str]]
+# What a command returns: (default output path, chunks of text to write,
+# summary lines).  main writes them to --out or the default and prints the summary.
+CommandOutput = tuple[str, list[str], list[str]]
 
 
 def cmd_calibrate(config: ScenarioConfig, args) -> CommandOutput:
@@ -175,22 +190,7 @@ def cmd_calibrate(config: ScenarioConfig, args) -> CommandOutput:
             f"target {t.target_psr:.6f}, residual {abs(model - t.target_psr):.6f}"
         )
     default = str(Path(args.config).with_suffix("")) + ".calibrated.cfg"
-    return default, emit_config(replace(config, channel=fitted)), summary
-
-
-def _sweep(config: ScenarioConfig, turbidities, collect_monitor=False):
-    """sweep of the config's line at each turbidity, with its other values."""
-    return sweep(
-        config.line,
-        config.channel,
-        turbidities,
-        config.rounds,
-        config.seed,
-        slot_duration=config.slot_duration(),
-        bit_rate=config.bit_rate,
-        profile=config.sensor,
-        collect_monitor=collect_monitor,
-    )
+    return default, [emit_config(replace(config, channel=fitted))], summary
 
 
 def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
@@ -200,7 +200,11 @@ def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
         raise UsageError(
             f"CSV label {label!r} has a comma, quote or line break; set --label"
         )
-    reports = _sweep(config, turbidities)
+    reports = sweep(
+        config.line, config.channel, turbidities, config.rounds, config.seed,
+        slot_duration=config.slot_duration(), bit_rate=config.bit_rate,
+        profile=config.sensor,
+    )
     csv_text = render_psr_csv(reports, label)
     hops = len(reports[0].hops)
     summary = [f"{'turbidity_ntu':>13}  {'final_hop':>9}  {'cumulative_psr':>14}"]
@@ -209,21 +213,28 @@ def cmd_sweep(config: ScenarioConfig, args) -> CommandOutput:
         f"{report.final_cumulative_psr:>14.6f}"
         for report in reports
     ]
-    return config.output_path, csv_text, summary
+    return config.output_path, [csv_text], summary
 
 
 def cmd_monitor(config: ScenarioConfig, args) -> CommandOutput:
     turbidity, *rest = _parse_turbidities(args, default=[0.01])
     if rest:
         raise UsageError(f"monitor takes one --turbidity value: {args.turbidity!r}")
-    (report,) = _sweep(config, [turbidity], collect_monitor=True)
-    delivered = len(report.monitor_log[0])
+    # cmd_sweep's pass at one turbidity, each block's rows rendered once counted
+    blocks = []
+    run = (config.line.links_at(turbidity), scenario_seed(config.seed, turbidity))
+    (report,) = _reports(
+        config.line, [run], config.channel, config.rounds, config.sensor,
+        config.slot_duration(), config.bit_rate,
+        monitor=lambda _, rows: blocks.append(_monitor_rows(*rows)),
+    )
     summary = [
-        f"{delivered} of {config.rounds} rounds delivered "
+        f"{report.hops[-1].packets_delivered} of {config.rounds} rounds delivered "
         f"(cumulative PSR {report.final_cumulative_psr:.6f}) at "
         f"{_fmt(report.turbidity_ntu)} NTU"
     ]
-    return config.output_path, render_monitor_csv(report, config.node_ids), summary
+    header = render_monitor_csv(report, config.node_ids)  # report holds no log
+    return config.output_path, [header, *blocks], summary
 
 
 @functools.cache  # argparse keeps no state between parse_args calls
@@ -279,9 +290,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        default, text, summary = args.func(_load_config(args), args)
+        default, chunks, summary = args.func(_load_config(args), args)
         out = Path(args.out or default)
-        out.write_text(text)
+        with out.open("w") as f:
+            f.writelines(chunks)
     except (UsageError, ValueError) as exc:  # ValueError: a flag value rejected
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

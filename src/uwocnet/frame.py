@@ -36,6 +36,7 @@ budget both take their lengths from it.
 
 from __future__ import annotations
 
+import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -139,13 +140,19 @@ def validate_node_id(value) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
-    """One node's contribution to the payload: who measured what."""
+    """One node's contribution to the payload: who measured what, in degC
+    as a Python float (nan and inf too: encode_frame rejects them)."""
 
     node_id: int
     temperature_c: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_id", validate_node_id(self.node_id))
+        t = self.temperature_c
+        if type(t) is not float:  # fast path: a Python float, nan and inf too
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise TypeError(f"temperature_c must be a real number, got {t!r}")
+            object.__setattr__(self, "temperature_c", float(t))
 
 
 def fixed_point(temperature_c):
@@ -255,8 +262,8 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
     (known from the static topology; the wire has no count field).
 
     Raises BadHeader, AuthMismatch, TruncatedFrame, MalformedEscape,
-    BadPayloadLength or RecordOutOfRange (a record no encoder writes: id
-    0xFF, or raw above 32000).
+    BadPayloadLength (also for bytes after the end byte) or RecordOutOfRange
+    (a record no encoder writes: id 0xFF, or raw above 32000).
     """
     expected = tuple(map(validate_auth_key, expected_keys))
     if len(expected) < 1:
@@ -275,6 +282,8 @@ def decode_frame(data: bytes | bytearray, expected_keys) -> Frame:
         end = data.index(END_BYTE, payload_start)
     except ValueError:
         raise TruncatedFrame("no end byte") from None
+    if end != len(data) - 1:
+        raise BadPayloadLength(f"bytes after the end byte: {len(data) - end - 1}")
     payload = unescape_payload(data[payload_start:end])
     if len(payload) % _BYTES_PER_RECORD != 0:
         raise BadPayloadLength(

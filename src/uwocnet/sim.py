@@ -26,11 +26,11 @@ the monitor only when every hop drew zero flips, so the sink decodes exactly
 the records that were encoded: its log row is the transmitters' readings at
 wire resolution plus the sink's own reading, built per block from the same
 readings; the sink's noise words are drawn per block too, and only libm's
-sin/log/cos run per row.  The reference engine is the differential oracle of
-the tests and, on every pass, a canary: the counting engine replays its first
-round once for all runs, each run's link stream prefix folded once per
-call, and raises RuntimeError unless its own result for that round equals
-the replay's.
+sin/log/cos run per row; each checked block's rows go to one hook.  The
+reference engine is the differential oracle of the tests and, on every pass,
+a canary: the counting engine replays its first round once for all runs,
+each run's link stream prefix folded once per call, and raises RuntimeError
+unless its own result for that round equals the replay's.
 
 run_scenario and sweep are each one pass in this process, in blocks of
 rounds whose size depends only on the line's length and the number of
@@ -370,8 +370,9 @@ def _monitor_columns(
     raw: np.ndarray,
     delivered: np.ndarray,
     profile: nd.SensorProfile,
-) -> list[list]:
-    """The sink's log of the rounds among rnd whose last hop delivered.
+) -> list:
+    """The sink's log rows of the rounds among rnd whose last hop delivered,
+    the relayed temperatures as one float64 array (transmitters, rows).
 
     The relayed temperatures are the transmitters' readings at wire
     resolution; the sink appends its own reading unquantized.  Its noise
@@ -381,9 +382,16 @@ def _monitor_columns(
     """
     done = np.nonzero(delivered[:, -1])[0]
     times = clocks[done, -1]
-    temps = fr.raw_to_temperature(raw[done]).T.tolist()
     sink = nd.sensor_temperatures(line.node_ids[-1], times, profile)
-    return [rnd[done].tolist(), times.tolist(), *temps, sink]
+    relayed = fr.raw_to_temperature(raw[done]).T
+    return [rnd[done].tolist(), times.tolist(), relayed, sink]
+
+
+def _log_columns(rows: list, stop: int | None = None) -> list[list]:
+    """_monitor_columns' rows up to row stop as the reference engine logs
+    them: round indices, sink times, then one temperature list per node."""
+    rnd, times, relayed, sink = rows
+    return [rnd[:stop], times[:stop], *relayed[:, :stop].tolist(), sink[:stop]]
 
 
 def _count_rounds(
@@ -394,8 +402,8 @@ def _count_rounds(
     last_round: int,
     slot_duration: float,
     profile: nd.SensorProfile,
-    collect_monitor: bool = False,
-) -> list[tuple[list[int], list[int], list[list] | None]]:
+    monitor=None,
+) -> list[tuple[list[int], list[int]]]:
     """_simulate_rounds of line over each (links, seed) of runs, in blocks
     of _BLOCK_CELLS (run, round, hop) cells, at least one round, two count
     arrays per block: every run has line's nodes and reads the one sensor
@@ -404,13 +412,14 @@ def _count_rounds(
     covers them all, and one replay of the first round is every one's canary.
     The record range is tested here, on the hops that send: an out-of-range
     record raises at the earliest round that encodes one, then the first such
-    run in list order.  Seeds are taken modulo 2**64."""
+    run in list order.  Seeds are taken modulo 2**64.  Returns each run's
+    delivered frames and frame bytes sent per hop.  With monitor, each block's
+    rows (_monitor_columns) go to monitor(run index, rows) once the block has
+    passed its checks, in which the canary also compares its round's row."""
     hops = line.hop_count
     bers = np.array([[link_ber(params, l) for l in links] for links, _ in runs])
     seeds = np.array([seed_word(s) for _, s in runs], dtype=np.uint64)
     totals = np.zeros((len(runs), 2, hops), np.int64)
-    width = len(line.node_ids) + 2
-    logs = [[[] for _ in range(width)] if collect_monitor else None for _ in runs]
     block = max(1, _BLOCK_CELLS // (len(runs) * hops))
     for lo in range(first_round, last_round, block):
         rnd = np.arange(lo, min(lo + block, last_round), dtype=np.int64)
@@ -432,27 +441,26 @@ def _count_rounds(
         ones = np.ones(len(rnd), np.int64)  # sums over rounds, ~6x sum(axis=1)'s speed
         totals[:, 0] += ones @ delivered
         totals[:, 1] += ones @ sent
-        for log, done in zip(logs, delivered):
-            if log is not None:
-                new = _monitor_columns(line, rnd, clocks, raw, done, profile)
-                for column, more in zip(log, new):
-                    column.extend(more)
+        logged = [monitor and _monitor_columns(line, rnd, clocks, raw, done, profile)
+                  for done in delivered]
         if lo == first_round:
             # round lo's counts and logged rows (those up to lo), against its replay
             first = np.stack((delivered[:, 0], sent[:, 0]), axis=1).tolist()
             head = [
-                (*c, log and [column[:bisect_right(log[0], lo)] for column in log])
-                for c, log in zip(first, logs)
+                (*c, rows and _log_columns(rows, bisect_right(rows[0], lo)))
+                for c, rows in zip(first, logged)
             ]
             canary = _simulate_rounds(
-                line, runs, params, lo, lo + 1, slot_duration, profile, collect_monitor
+                line, runs, params, lo, lo + 1, slot_duration, profile, bool(monitor)
             )
             if head != canary:
                 raise RuntimeError(
                     f"counting engine gives {head} for round {lo}, "
                     f"reference engine {canary}"
                 )
-    return [(*total.tolist(), log) for total, log in zip(totals, logs)]
+        for i, rows in enumerate(logged if monitor else ()):
+            monitor(i, rows)
+    return [tuple(total.tolist()) for total in totals]
 
 
 def _reports(
@@ -464,8 +472,10 @@ def _reports(
     slot_duration: float | None = None,
     bit_rate: float = nd.DEFAULT_BIT_RATE,
     collect_monitor: bool = False,
+    monitor=None,
 ) -> list[PsrReport]:
-    """run_scenario of line over each (links, seed) of runs, in one pass."""
+    """run_scenario of line over each (links, seed) of runs, in one pass;
+    monitor, in place of collect_monitor, takes _count_rounds' blocks."""
     rounds = as_int(rounds, "rounds")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -475,11 +485,17 @@ def _reports(
     # the checked float, placing round r's windows as schedule(..., r) does.
     slot_duration = nd.checked_slot(len(line.node_ids), slot_duration, bit_rate)
 
+    width = len(line.node_ids) + 2
+    logs = [[[] for _ in range(width)] if collect_monitor else None for _ in runs]
+    if collect_monitor:
+        def monitor(i, rows):  # extends run i's log columns
+            for column, more in zip(logs[i], _log_columns(rows)):
+                column.extend(more)
     counted = _count_rounds(
-        line, runs, params, 0, rounds, slot_duration, profile, collect_monitor
+        line, runs, params, 0, rounds, slot_duration, profile, monitor
     )
     reports = []
-    for (links, seed), (delivered, sent, log) in zip(runs, counted):
+    for (links, seed), (delivered, sent), log in zip(runs, counted, logs):
         per_hop = zip(links, [rounds, *delivered[:-1]], delivered, sent)
         hop_stats = [
             HopStats(

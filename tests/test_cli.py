@@ -584,6 +584,55 @@ def test_monitor_csv_golden(name, blocks, tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith(f"{delivered} rounds delivered")
 
 
+def test_monitor_renders_the_collected_log_by_block(lossy_cfg, tmp_path, monkeypatch):
+    # 7-round blocks on the 4-hop line, some of which deliver no row: the
+    # command's CSV is the API's whole log rendered as one block
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 7)
+    out = tmp_path / "mon.csv"
+    argv = ["monitor", "--config", str(lossy_cfg), "--turbidity", "70"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    config = parse_config(lossy_cfg.read_text())
+    report = sim.run_scenario(
+        config.topology(70.0), config.channel, config.rounds,
+        sim.scenario_seed(config.seed, 70.0), slot_duration=config.slot_duration(),
+        bit_rate=config.bit_rate, profile=config.sensor, collect_monitor=True,
+    )
+    logged = set(report.monitor_log[0])
+    blocks = [set(range(lo, lo + 7)) & logged for lo in range(0, config.rounds, 7)]
+    assert len(blocks) >= 3 and not all(blocks) and any(blocks)
+    assert out.read_text() == render_monitor_csv(report, config.node_ids)
+
+
+# From 84.9 degC at 0.002 degC/s (a sine of period 1e6 s): out of range
+# past round 300 on the 5-node line's automatic slots.
+RISING_SENSOR = """\
+sensor.baseline_c = 84.9
+sensor.amplitude_c = 318.3098861837907
+sensor.period_s = 1000000.0
+sensor.noise_std_c = 0.0
+"""
+
+
+def test_monitor_failing_in_a_late_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 50)  # 50-round blocks
+    cfg = tmp_path / "rising.cfg"
+    cfg.write_text(BASE_CONFIG.replace(
+        "sensor.amplitude_c = 0.0\nsensor.noise_std_c = 0.0\n", RISING_SENSOR
+    ))
+    out = tmp_path / "mon.csv"
+    argv = ["monitor", "--config", str(cfg), "--out", str(out), "--rounds"]
+    assert main(argv + ["300"]) == EXIT_OK  # six blocks in range
+    out.unlink()
+    capsys.readouterr()
+    assert main(argv + ["1000"]) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("simulation failed: temperature")
+    assert not out.exists()
+    # and a file already there keeps its bytes
+    out.write_bytes(b"kept,\x00\n")
+    assert main(argv + ["1000"]) == EXIT_FAILURE
+    assert out.read_bytes() == b"kept,\x00\n"
+
+
 def _monitor_csv_per_cell(report, node_ids):
     """The monitor CSV rendered one _fmt call per numeric cell."""
     lines = ["round,time_s," + ",".join(f"temp_{nid}" for nid in node_ids)]
@@ -609,6 +658,15 @@ def test_monitor_csv_matches_per_cell_rendering():
         expected = _monitor_csv_per_cell(report, ids)
         assert render_monitor_csv(report, ids) == expected
     assert expected == "round,time_s,temp_0,temp_125,temp_254\n"
+
+
+def test_monitor_csv_needs_one_node_id_per_temperature_column():
+    log = [[0], [0.5], [20.0], [21.0], [19.5]]  # two relayed, the sink's
+    report = PsrReport(70.0, 1, 1, [], log)
+    assert render_monitor_csv(report, (0, 1, 2)).endswith("\n0,0.5,20,21,19.5\n")
+    for ids in ((0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="per temperature column"):
+            render_monitor_csv(report, ids)
 
 
 # --- one parser per process --------------------------------------------------

@@ -52,6 +52,19 @@ def reference_rounds(line, runs, params, first, last, slot, profile):
     )
 
 
+def count_rounds(line, runs, *args, collect_monitor=True):
+    """sim._count_rounds, each run's counts with its log as collect_monitor
+    gathers it, or None."""
+    logs = [[[] for _ in range(len(line.node_ids) + 2)] for _ in runs]
+
+    def collect(i, rows):
+        for column, more in zip(logs[i], sim._log_columns(rows)):
+            column.extend(more)
+
+    counts = sim._count_rounds(line, runs, *args, collect if collect_monitor else None)
+    return [(*c, log if collect_monitor else None) for c, log in zip(counts, logs)]
+
+
 def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
     """Rounds [first, first + rounds) from both engines against the one
     reference replay of the case, with the log; returns the counting
@@ -60,9 +73,9 @@ def assert_engines_agree(topo, params, rounds, seed, profile=None, first=0):
     slot = min_slot_duration(len(topo.node_ids))
     args = (topo, [(topo.links, seed)], params, first, first + rounds, slot, profile)
     [stepped] = reference_rounds(topo, ((topo.links, seed),), *args[2:])
-    [counted] = sim._count_rounds(*args, True)
+    [counted] = count_rounds(*args)
     assert counted == stepped
-    assert sim._count_rounds(*args, False) == [(*counted[:2], None)]
+    assert count_rounds(*args, collect_monitor=False) == [(*counted[:2], None)]
     indices, *floats = counted[2]
     assert len(floats) == len(topo.node_ids) + 1
     # plain Python values, so the CSV renders them as the reference log
@@ -806,19 +819,28 @@ def _nudge(column):
     column[0] += 1e-9
 
 
+def _dropped_row_0(log):
+    log[2] = log[2][:, 1:]  # the relayed temperatures: one row per transmitter
+    for column in log[:2] + log[3:]:
+        column.pop(0)
+
+
 def _spurious_round_0(log):
-    for column in log:
+    log[2] = np.concatenate((log[2][:, :1], log[2]), axis=1)
+    for column in log[:2] + log[3:]:
         column.insert(0, column[0])  # a copy of the first logged row ...
     log[0][0] = 0  # ... as round 0's
 
 
-# Each mangles the first block's counting log in place.
+# Each mangles the first block's counting rows (sim._monitor_columns) in place.
 PERTURBED_LOGS = {
     # the first entry of the time column, or of the sink's temperatures
     "time_s": lambda log: _nudge(log[1]),
     "temperatures_c": lambda log: _nudge(log[-1]),
-    "dropped_row": lambda log: [column.pop(0) for column in log],  # round 0's
+    "dropped_row": _dropped_row_0,  # round 0's
     "spurious_row": _spurious_round_0,  # for a round 0 that was lost
+    # the first relayed temperature of the last transmitter
+    "relayed_c": lambda log: _nudge(log[2][-1]),
 }
 
 
@@ -903,7 +925,7 @@ def test_shared_replay_equals_one_replay_per_scenario(monitor):
     assert 0 < shared[-1][0][0] < 100  # hop 0 of the rare line
     assert all(log[0] for *_, log in shared)
     expected = shared if monitor else [(*run[:2], None) for run in shared]
-    assert sim._count_rounds(topo, runs, *args, monitor) == expected
+    assert count_rounds(topo, runs, *args, collect_monitor=monitor) == expected
 
 
 def test_sweep_steps_the_nodes_once_for_all_turbidities(monkeypatch):

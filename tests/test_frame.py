@@ -277,6 +277,19 @@ def test_numpy_ids_and_keys_are_python_ints():
             bad()
 
 
+def test_sensor_record_holds_a_real_temperature_as_a_python_float():
+    for bad in (True, np.True_, "20.0", None, 1j):
+        with pytest.raises(TypeError, match="temperature_c"):
+            SensorRecord(1, bad)
+    for value in (20, np.float64(20.5), np.float32(1.5), np.int16(-3)):
+        record = SensorRecord(1, value)
+        assert type(record.temperature_c) is float and record.temperature_c == value
+    # nan and the infinities are records, but no encoder writes them
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(RecordOutOfRange):
+            encode_frame(Frame((180,), (SensorRecord(1, value),)))
+
+
 # --- decode ------------------------------------------------------------------
 
 
@@ -321,6 +334,14 @@ def test_decode_roundtrip_1000_random_frames():
 def test_decode_error_taxonomy(data, err):
     with pytest.raises(err):
         decode_frame(data, (180,))
+
+
+def test_decode_rejects_bytes_after_the_end_byte():
+    with pytest.raises(BadPayloadLength, match="after the end byte: 2$"):
+        decode_frame(bytes([255, 80, 180, 0, 0x41, 0x42]), (180,))
+    data = encode_frame(Frame((180,), (SensorRecord(1, 20.0),)))
+    with pytest.raises(BadPayloadLength, match="after the end byte: 1$"):
+        decode_frame(data + bytes([0]), (180,))
 
 
 def test_decode_names_the_offending_records_offset():

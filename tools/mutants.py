@@ -45,6 +45,7 @@ FRAME = "src/uwocnet/frame.py"
 CHANNEL = "src/uwocnet/channel.py"
 CONFIG = "src/uwocnet/config.py"
 RNG = "src/uwocnet/rng.py"
+CLI = "src/uwocnet/cli.py"
 
 # (name, file, exact old text, new text, PR that introduced the mutant)
 MUTANTS = [
@@ -76,9 +77,9 @@ MUTANTS = [
     ("rows_of_lengths", FRAME,
      "hop = lengths.T", "hop = lengths", 22),
     ("canary_slice_empty", SIM,
-     "column[:bisect_right(log[0], lo)]", "column[:0]", 24),
+     "_log_columns(rows, bisect_right(rows[0], lo))", "_log_columns(rows, 0)", 24),
     ("canary_slice_one_row", SIM,
-     "column[:bisect_right(log[0], lo)]", "column[:1]", 24),
+     "_log_columns(rows, bisect_right(rows[0], lo))", "_log_columns(rows, 1)", 24),
     ("lengths_without_escapes", FRAME,
      "_VALUE_COST[raw & 0xFFFF]", "0 * raw", 25),
     ("liveness_from_current_hop", SIM,
@@ -120,6 +121,10 @@ MUTANTS = [
      "if not all(type(rec) is SensorRecord for rec in self.records):", "if False:", 34),
     ("escape_pair_names_escape_byte", FRAME,
      "0x7D 0x{after[0]:02X}", "0x7D 0x{fault[0]:02X}", 34),
+    # one text per relayed value, not per bit pattern: -0.0 and 0.0 merge
+    ("render_table_keyed_on_value", CLI,
+     "np.unique(relayed.view(np.int64), return_inverse=True)",
+     "np.unique(relayed, return_inverse=True)", 35),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
