@@ -739,19 +739,6 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def test_unwritable_output_is_failure(base_cfg):
-    code = main(
-        [
-            "sweep",
-            "--config", str(base_cfg),
-            "--turbidity", "1",
-            "--rounds", "1",
-            "--out", "/no/such/dir/out.csv",
-        ]
-    )
-    assert code == EXIT_FAILURE
-
-
 def test_bad_turbidity_list(base_cfg):
     assert main(
         ["sweep", "--config", str(base_cfg), "--turbidity", "abc"]

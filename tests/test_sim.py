@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from uwocnet import frame as fr
 from uwocnet import node as nd
 from uwocnet import sim
 from uwocnet.channel import (
@@ -336,6 +337,27 @@ def test_engines_refuse_the_slots_schedule_refuses():
             with pytest.raises(ValueError, match="slot_duration must be > 0"):
                 run(slot_duration=slot)
         assert run(slot_duration=fits) == run()
+
+
+def _refuse_every_frame(data, expected_keys):
+    raise fr.BadHeader("refused")
+
+
+@pytest.mark.parametrize("module, name, replacement, message", [
+    # a node that sends nothing in its tx slot
+    (nd, "step", lambda state, event: (state, []),
+     "node 0 had nothing to transmit in a live round"),
+    # a relay that drops a frame no bit flip touched
+    (fr, "decode_frame", _refuse_every_frame,
+     "uncorrupted frame dropped at node 1: bad_header refused"),
+    # frames longer than the slot is sized for
+    (fr, "hop_frame_lengths", lambda *args, f=fr.hop_frame_lengths: f(*args) + 1000,
+     "rounds from 0: a frame longer than the worst case"),
+], ids=["nothing_to_transmit", "intact_frame_dropped", "frame_over_worst_case"])
+def test_broken_engine_invariant_raises(module, name, replacement, message, monkeypatch):
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(RuntimeError, match=message):
+        run_scenario(linear_topology(range(5)), CLEAN, 10, seed=0)
 
 
 @pytest.mark.parametrize("slot", [1, np.int64(1), np.float32(1.0)])

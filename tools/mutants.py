@@ -6,14 +6,19 @@ directory, the edit is applied there, and tier-1 runs on the copy; the
 working tree is never written.  Each mutant prints one row:
 
     killed     tier-1 failed; the row gives the failing count and first ids
-    timeout    tier-1 ran longer than TIMEOUT_FACTOR unmutated runs: killed
+    timeout    tier-1 ran longer than TIMEOUT_FACTOR unmutated runs: not killed
     survived   tier-1 passed: a fault the suite does not catch
     stale      the old text does not occur exactly once: update the mutant
+
+The last line is the kill matrix: one JSON object that maps each mutant to
+the sorted ids of every test that failed on it, an empty list for a mutant
+not killed.  A test whose kill set lies inside another's may fold into it
+only if the matrix after the fold still shows each of its mutants killed.
 
 First the unmutated copy runs: it must pass, and its suite must import
 uwocnet from the copy's own src/, not from an installed package.  Its
 duration sets the timeout.  The exit status is 1 if the unmutated copy
-fails, or if any mutant survived or is stale.
+fails, or if any mutant timed out, survived or is stale.
 
 Usage (standard library only):
 
@@ -23,6 +28,7 @@ Usage (standard library only):
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -175,8 +181,9 @@ def tier1(tree: Path, timeout: float | None):
     return done.returncode, failing, seconds, lines[-1] if lines else None
 
 
-def run_mutant(mutant, timeout: float) -> tuple[str, bool]:
-    """One table row for mutant, and whether it counts as killed."""
+def run_mutant(mutant, timeout: float) -> tuple[str, list[str]]:
+    """One table row for mutant, and the sorted ids of the tests that killed
+    it: none if it was not killed."""
     name, path, old, new, pr = mutant
     row = f"{name:<32} {pr:>3}"
     with tempfile.TemporaryDirectory(prefix="uwocnet-mutant-") as scratch:
@@ -185,15 +192,15 @@ def run_mutant(mutant, timeout: float) -> tuple[str, bool]:
         text = target.read_text()
         count = text.count(old)
         if count != 1:
-            return f"{row}  stale     old text occurs {count} times in {path}", False
+            return f"{row}  stale     old text occurs {count} times in {path}", []
         target.write_text(text.replace(old, new))
         status, failing, seconds, _ = tier1(tree, timeout)
     if status is None:
-        return f"{row}  timeout        - {seconds:8.1f}  (after {timeout:.0f} s)", True
+        return f"{row}  timeout        - {seconds:8.1f}  (after {timeout:.0f} s)", []
     if status == 0:
-        return f"{row}  survived       0 {seconds:8.1f}", False
+        return f"{row}  survived       0 {seconds:8.1f}", []
     shown = ", ".join(failing[:SHOWN_IDS]) + (", ..." if len(failing) > SHOWN_IDS else "")
-    return f"{row}  killed    {len(failing):>5} {seconds:8.1f}  {shown}", True
+    return f"{row}  killed    {len(failing):>5} {seconds:8.1f}  {shown}", sorted(failing)
 
 
 def main(names: list[str]) -> int:
@@ -220,13 +227,14 @@ def main(names: list[str]) -> int:
     print(f"{'mutant':<32} {'PR':>3}  result    failing  seconds  first failing tests",
           flush=True)
 
-    escaped = 0
+    matrix = {}
     for mutant in chosen:
-        row, killed = run_mutant(mutant, timeout)
-        escaped += not killed
+        row, matrix[mutant[0]] = run_mutant(mutant, timeout)
         print(row, flush=True)
-    print(f"{len(chosen) - escaped} of {len(chosen)} mutants killed")
-    return 1 if escaped else 0
+    killed = sum(map(bool, matrix.values()))
+    print(f"{killed} of {len(chosen)} mutants killed")
+    print(json.dumps(matrix))
+    return 0 if killed == len(chosen) else 1
 
 
 if __name__ == "__main__":
