@@ -3,11 +3,10 @@
 run_scenario counts rounds and builds the monitor log with the vectorized
 engine; the reference engine steps every node.  Both draw the same
 substream words and return one layout, so every per-hop counter and every
-monitor log column must agree exactly.  Each differential case is one test:
-the counting engine's result with the log must equal the reference replay
-whole, its result without the log must hold the same counts, and, from
-round 0, run_scenario's report must give both.  A case's replay is stepped
-once, however many tests compare against it.
+monitor log column must agree exactly.  Each differential case replays its
+rounds through the reference engine once, with the log, however many tests
+compare against it: the counting engine's result with the log must equal
+it whole, and its result without the log must hold the same counts.
 """
 
 import functools
@@ -122,11 +121,29 @@ def assert_report_agrees(topo, params, rounds, seed, profile=None):
 def test_anchor_line_counts_equal(ntu, root_seed):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(root_seed, ntu)
-    delivered, _, (logged, *_) = assert_report_agrees(
+    delivered, _, (logged, *_) = assert_engines_agree(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
     )
     assert delivered[-1] < 1500  # losses were drawn
     assert 0 < len(logged) == delivered[-1]
+
+
+@pytest.mark.parametrize("ntu", [0.01, 70.0])
+def test_anchor_line_monitor_rows_equal(ntu):
+    topo = linear_topology(range(5), turbidity_ntu=ntu)
+    seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
+    delivered, _, (logged, *_) = assert_report_agrees(
+        topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
+    )
+    assert delivered[-1] < 1500  # losses were drawn
+    assert 0 < len(logged) == delivered[-1]
+
+
+def test_heterogeneous_config_counts_equal():
+    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
+    assert_engines_agree(
+        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
+    )
 
 
 def test_heterogeneous_config_monitor_rows_equal():
@@ -136,12 +153,27 @@ def test_heterogeneous_config_monitor_rows_equal():
     )
 
 
+def test_single_hop_counts_equal():
+    delivered, _, _ = assert_engines_agree(
+        linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
+    )
+    assert 0 < delivered[0] < 2000
+
+
 def test_single_hop_monitor_rows_equal():
     delivered, _, (logged, *_) = assert_report_agrees(
         linear_topology(range(2)), lossy_params(0.8, frame_bytes=8), 2000, seed=4
     )
     assert 0 < delivered[0] < 2000
     assert 0 < len(logged) < 2000
+
+
+def test_escaped_node_ids_counts_equal():
+    # ids 0x00 and 0x7D each cost an escape byte in every frame they ride in
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    _, frame_bytes, _ = assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6)
+    (nominal,) = fr.hop_frame_lengths([0x7D])
+    assert frame_bytes[0] >= 2000 * nominal == 2000 * (fr.hop_frame_lengths([1])[0] + 1)
 
 
 def test_escaped_node_ids_monitor_rows_equal():
@@ -185,6 +217,13 @@ def test_ber_underflow_and_zero_signal_monitor_rows_equal():
     )
     assert delivered == [0] * 4 and sent[1:] == [0] * 3
     assert logged == []
+
+
+def test_noiseless_sensor_counts_equal():
+    profile = SensorProfile(amplitude_c=1.5, period_s=1.0, noise_std_c=0.0)
+    assert_engines_agree(
+        linear_topology(range(5)), lossy_params(0.9), 2000, seed=3, profile=profile
+    )
 
 
 def test_noiseless_sensor_monitor_rows_equal():
@@ -262,10 +301,21 @@ def test_workers_leaves_the_block_plan(workers, monkeypatch):
     assert report == serial
 
 
+def test_many_blocks_counts_equal(monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_engines_agree(topo, ANCHOR, 1001, 5)
+
+
 def test_many_blocks_monitor_rows_equal(monkeypatch):
     monkeypatch.setattr(sim, "_BLOCK_CELLS", 4 * 37)  # 37 rounds per block
     topo = linear_topology(range(5), turbidity_ntu=70.0)
     assert_report_agrees(topo, ANCHOR, 1001, 5)
+
+
+def test_partition_from_a_late_round_counts_equal():
+    topo = linear_topology(range(5), turbidity_ntu=70.0)
+    assert_engines_agree(topo, ANCHOR, 500, 3, first=10**9)
 
 
 def test_partition_from_a_late_round_monitor_rows_equal():
@@ -320,6 +370,11 @@ def test_escape_heavy_anchor_line_counts_equal():
         topo, ANCHOR, 1500, seed, ESCAPE_HEAVY
     )
     assert delivered[-1] < 1500
+
+
+def test_escape_heavy_escaped_node_ids_counts_equal():
+    topo = linear_topology([0x7D, 5, 0x00, 9], auth_keys=[180, 170, 154, 140])
+    assert_engines_agree(topo, lossy_params(0.9), 2000, seed=6, profile=ESCAPE_HEAVY)
 
 
 def test_escape_heavy_escaped_node_ids_monitor_rows_equal():
