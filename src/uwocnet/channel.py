@@ -308,8 +308,9 @@ def calibrate(
     clear_water_attenuation=X` on the command line, to hold another
     value); if they still are not, ValueError names them.  Raises
     CalibrationDiverged if any per-target PSR residual exceeds
-    `tolerance`, as for targets that need a negative coefficient, and
-    ValueError unless `tolerance` is finite and >= 0.
+    `tolerance`, as for targets that need a negative coefficient;
+    ValueError unless `tolerance` is finite and >= 0, or if the fixed values
+    leave no fit whose squared error is finite and whose sigma is a float > 0.
     """
     if as_float(tolerance, "tolerance") < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -343,23 +344,30 @@ def calibrate(
     free = _free_columns(a, fixed)
 
     signed = [i for i in free if i < 2]  # c0 >= 0 and slope >= 0
-    best_err = math.inf
-    for zeros in (c for k in range(len(signed) + 1) for c in combinations(signed, k)):
-        keep = [i for i in free if i not in zeros]
-        rest = [i for i in range(3) if i not in keep]
-        cand = theta.copy()
-        cand[list(zeros)] = 0.0
-        if keep:
-            cand[keep] = np.linalg.lstsq(
-                a[:, keep], y - a[:, rest] @ cand[rest], rcond=None
-            )[0]
-        err = float(np.sum((a @ cand - y) ** 2))
-        if (cand[signed] >= 0).all() and err < best_err:
-            best_err, best = err, cand
+    bounds = (c for k in range(len(signed) + 1) for c in combinations(signed, k))
+    best_err, best = math.inf, theta
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
+        for zeros in bounds:
+            keep = [i for i in free if i not in zeros]
+            rest = [i for i in range(3) if i not in keep]
+            cand = theta.copy()
+            cand[list(zeros)] = 0.0
+            if keep:
+                cand[keep] = np.linalg.lstsq(
+                    a[:, keep], y - a[:, rest] @ cand[rest], rcond=None
+                )[0]
+            err = float(np.sum((a @ cand - y) ** 2))
+            if (cand[signed] >= 0).all() and err < best_err:
+                best_err, best = err, cand
 
     fitted = {_FREE_FIELDS[i]: float(best[i]) for i in free}
     if "noise_sigma" in fitted:
-        fitted["noise_sigma"] = math.exp(fitted["noise_sigma"])
+        try:
+            fitted["noise_sigma"] = math.exp(fitted["noise_sigma"])
+        except OverflowError:
+            fitted["noise_sigma"] = math.inf
+    if best_err == math.inf or not 0.0 < fitted.get("noise_sigma", 1.0) < math.inf:
+        raise ValueError(f"fixed values {fixed} leave no finite fit")
     params = replace(base, **fitted)
     residuals = tuple(
         abs(_path_psr(params, t, hop_lengths) - t.target_psr)

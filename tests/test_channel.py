@@ -411,6 +411,19 @@ def test_calibrate_rejects_psr_below_half_ber_floor():
         calibrate([CalibrationTarget(0.01, 4.0, 1, 1e-30)], fixed=fixed)
 
 
+@pytest.mark.parametrize("fixed, targets", [
+    ({"turbidity_slope": 1e200}, PAPER_TARGETS),  # every candidate's error overflows
+    ({"clear_water_attenuation": 1e300}, PAPER_TARGETS),
+    ({"turbidity_slope": 1e150}, PAPER_TARGETS),  # the fitted sigma underflows to 0
+    # and overflows: a target near BER 0.5 needs sigma far above the source level
+    ({"source_lux": 1.7e308, "turbidity_slope": 0.0}, [(0.01, 4.0, 1, 1e-24)]),
+])
+def test_calibrate_extreme_fixed_values_name_them(fixed, targets):
+    with pytest.raises(ValueError, match="^fixed values ") as exc:
+        calibrate(targets, fixed=fixed)
+    assert str(fixed) in str(exc.value)
+
+
 # --- heterogeneous hop profile ---------------------------------------------------
 
 

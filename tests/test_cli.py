@@ -787,6 +787,9 @@ UNRECOGNIZED_WORKERS = "error: unrecognized arguments: --workers"
         ("", SWEEP + ["--label", "x\ny"], EXIT_USAGE, "error: CSV label 'x\\ny'"),
         # no list entry may be empty
         ("", ["sweep", "--turbidity", "1,,2"], EXIT_USAGE, "error: --turbidity"),
+        # no numpy warning and no traceback when the fixed values leave no fit
+        ("", CALIBRATE + ["--target", "70:16:2:0.89", "--fix", "turbidity_slope=1e200"],
+         EXIT_USAGE, "error: fixed values"),
     ],
 )
 def test_bad_input_exits_with_one_error_line(

@@ -7,6 +7,11 @@ monitor log column must agree exactly.  Each differential case replays its
 rounds through the reference engine once, with the log, however many tests
 compare against it: the counting engine's result with the log must equal
 it whole, and its result without the log must hold the same counts.
+The cases: the anchor line at two turbidities and four seeds, the
+heterogeneous config, a single hop, escaped node ids, multi-chunk frames,
+BER underflow and zero signal, a noiseless sensor, 1001 rounds in 1, 2, 3
+and 7 blocks, 37-round blocks, rounds from 10**9, and escape-heavy
+readings on the anchor line, the escaped ids and the multi-chunk line.
 """
 
 import functools
@@ -121,29 +126,11 @@ def assert_report_agrees(topo, params, rounds, seed, profile=None):
 def test_anchor_line_counts_equal(ntu, root_seed):
     topo = linear_topology(range(5), turbidity_ntu=ntu)
     seed = sim.scenario_seed(root_seed, ntu)
-    delivered, _, (logged, *_) = assert_engines_agree(
+    delivered, _, (logged, *_) = assert_report_agrees(
         topo, ANCHOR, 1500, seed, SensorProfile(seed=root_seed)
     )
     assert delivered[-1] < 1500  # losses were drawn
     assert 0 < len(logged) == delivered[-1]
-
-
-@pytest.mark.parametrize("ntu", [0.01, 70.0])
-def test_anchor_line_monitor_rows_equal(ntu):
-    topo = linear_topology(range(5), turbidity_ntu=ntu)
-    seed = sim.scenario_seed(ACCEPTANCE_SEED, ntu)
-    delivered, _, (logged, *_) = assert_report_agrees(
-        topo, ANCHOR, 1500, seed, SensorProfile(seed=ACCEPTANCE_SEED)
-    )
-    assert delivered[-1] < 1500  # losses were drawn
-    assert 0 < len(logged) == delivered[-1]
-
-
-def test_heterogeneous_config_counts_equal():
-    config = parse_config((CONFIGS / "heterogeneous.cfg").read_text())
-    assert_engines_agree(
-        config.topology(70.0), config.channel, 1500, config.seed, config.sensor
-    )
 
 
 def test_heterogeneous_config_monitor_rows_equal():

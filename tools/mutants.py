@@ -131,6 +131,9 @@ MUTANTS = [
     ("render_table_keyed_on_value", CLI,
      "np.unique(relayed.view(np.int64), return_inverse=True)",
      "np.unique(relayed, return_inverse=True)", 35),
+    ("fit_overflow_unchecked", CHANNEL,
+     'if best_err == math.inf or not 0.0 < fitted.get("noise_sigma", 1.0) < math.inf:',
+     "if False:", 37),
 ]
 
 # pytest in-process, then the file the suite imported uwocnet from
